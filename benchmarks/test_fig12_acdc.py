@@ -23,13 +23,9 @@ import pytest
 
 from benchmarks.conftest import full_scale
 from repro.apps import AcdcOverlay
-from repro.core import (
-    EmulationConfig,
-    ExperimentPipeline,
-    FaultInjector,
-    LinkPerturbation,
-)
+from repro.core import EmulationConfig, ExperimentPipeline
 from repro.engine import Simulator
+from repro.faults import FaultPlan, Perturbation
 from repro.topology import LinkKind, TransitStubSpec, transit_stub_topology
 from repro.topology.annotate import LinkClassParams
 
@@ -51,6 +47,18 @@ def acdc_link_params():
             bandwidth_bps=(100e6, 100e6), latency_s=(0.005, 0.010), cost=(1, 1)
         ),
     }
+
+
+#: ``t -> (cost_ratio, max_delay)`` at default scale: the start, the
+#: perturbation window's edges and middle, and the end. Pinned so a
+#: change to the fault path shows up as a changed trajectory.
+PINNED_SAMPLES = {
+    0.0: (4.278997301177398, 0.9581778409082777),
+    300.0: (1.5805852751157887, 0.3596544935194492),
+    550.0: (2.0700946529318864, 0.3569437887449092),
+    800.0: (2.082186453764452, 0.3425483017171134),
+    1500.0: (1.6126250452331765, 0.33924776348421015),
+}
 
 
 def run_experiment():
@@ -87,11 +95,16 @@ def run_experiment():
     # delay sits close below it — that's what makes the goal hard.
     overlay.delay_target_s = overlay.spt_delay() / 0.8
 
-    injector = FaultInjector(emulation)
-    injector.start_perturbation(
-        LinkPerturbation(period_s=25.0, link_fraction=0.25, latency_scale=(1.0, 1.25)),
-        start_s=perturb_window[0],
-        stop_s=perturb_window[1],
+    emulation.install_fault_plan(
+        FaultPlan.of(
+            Perturbation(
+                start_s=perturb_window[0],
+                stop_s=perturb_window[1],
+                period_s=25.0,
+                link_fraction=0.25,
+                latency_scale=(1.0, 1.25),
+            )
+        )
     )
 
     samples = []
@@ -125,6 +138,11 @@ def test_fig12_acdc(benchmark, sink):
             f"{sample['t']:>6.0f} {sample['cost_ratio']:>9.2f} "
             f"{sample['max_delay']:>13.2f}"
         )
+
+    if not full_scale():
+        by_time = {s["t"]: (s["cost_ratio"], s["max_delay"]) for s in samples}
+        for t, expected in PINNED_SAMPLES.items():
+            assert by_time[t] == expected, t
 
     def window(lo, hi):
         return [s for s in samples if lo <= s["t"] < hi]

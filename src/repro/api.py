@@ -97,11 +97,6 @@ class ScenarioSpec:
     seed: int
     #: ``(flows, seed)`` per :meth:`Scenario.netperf` call.
     netperf: Tuple[Tuple[int, Optional[int]], ...]
-    #: :meth:`Scenario.inject_fault` duration — a *deliberately*
-    #: nondeterministic workload (sanitizer self-test). Declarative so
-    #: the fault reaches multiprocess workers instead of being masked
-    #: by the custom-traffic rejection in :meth:`Scenario.to_spec`.
-    fault_seconds: Optional[float] = None
     #: ``(entry_name, ((param, value), ...))`` per
     #: :meth:`Scenario.workload` call — registry workloads from
     #: :mod:`repro.traffic`, portable across process boundaries.
@@ -118,10 +113,10 @@ class ScenarioSpec:
         Accepted names, resolved in this order: spec-level fields
         (``name``, ``seed``, ``mode`` — string or enum — ``cores``,
         ``hosts``, ``strategy``, ``walk_in``, ``walk_out``,
-        ``reference``, ``fault_seconds``, ``topology``), then
-        :class:`EmulationConfig` knobs (merged into ``knobs``), then
-        parameters of any registered traffic entry this spec carries
-        (applied to every entry that declares them; ``flows`` also
+        ``reference``, ``topology``), then :class:`EmulationConfig`
+        knobs (merged into ``knobs``), then parameters of any
+        registered traffic entry this spec carries (applied to every
+        entry that declares them; ``flows`` also
         rewrites :meth:`Scenario.netperf` tuples). ``faults`` replaces
         the whole fault plan; the fault-intensity axes
         (:data:`repro.faults.PLAN_OVERRIDE_KEYS`) rewrite the plan's
@@ -138,7 +133,7 @@ class ScenarioSpec:
 
         spec_passthrough = {
             "name", "topology", "walk_in", "walk_out", "strategy",
-            "reference", "seed", "fault_seconds",
+            "reference", "seed",
         }
         config_fields = set(EmulationConfig.field_names())
         updates: Dict[str, Any] = {}
@@ -210,33 +205,6 @@ class ScenarioSpec:
         )
 
 
-def _nondeterminism_fault(seconds: float) -> Callable[[Emulation], Any]:
-    """Traffic callback that deliberately breaks determinism.
-
-    Schedules a self-perpetuating tick whose period comes from an
-    *unseeded* RNG, so two same-seed runs dispatch different event
-    streams — the positive control for ``repro-net sanitize``. The
-    ticks land on the emulation's front-door clock (domain 0 for a
-    partitioned simulator), so on the multiprocess backend the
-    divergence happens *inside a worker* and must be caught by the
-    composed per-domain digests.
-    """
-    import random as _random
-
-    def setup(emulation: Emulation):
-        rng = _random.Random()  # repro: allow-rng (deliberate fault)
-        sim = emulation.sim
-
-        def tick() -> None:
-            if sim.now < seconds:
-                sim.schedule(rng.uniform(1e-4, 1e-3), tick)
-
-        sim.schedule(rng.uniform(1e-4, 1e-3), tick)
-
-    setup._fault_params = float(seconds)
-    return setup
-
-
 class Scenario:
     """A declarative experiment: topology in, :class:`RunReport` out."""
 
@@ -260,7 +228,6 @@ class Scenario:
         self._registry: Optional[MetricsRegistry] = None  # repro: allow-spec-drift
         self._observe = True  # repro: allow-spec-drift
         self._traffic: List[Callable[[Emulation], Any]] = []
-        self._fault_seconds: Optional[float] = None
         self._fault_plan: Optional[FaultPlan] = None
         #: Resilience knobs (None = plain execution) and an optional
         #: checkpoint to resume from. Parent-side only: neither enters
@@ -389,7 +356,7 @@ class Scenario:
         domain). Digests are identical across worker counts.
 
         ``kernel`` selects the pipe hot-core implementation
-        (``"scalar"``, ``"batched"``, or ``"numpy"``); all kernels
+        (``"scalar"`` or ``"batched"``); both kernels
         dispatch digest-identical event streams.
         """
         knobs: dict = {"backend": name}
@@ -447,7 +414,8 @@ class Scenario:
 
     def workload(self, name: str, **params) -> "Scenario":
         """Install a named workload from the :mod:`repro.traffic`
-        registry (``netperf``, ``udp-cbr``, ``cfs``, ``acdc``).
+        registry (``netperf``, ``udp-cbr``, ``cfs``, ``acdc``,
+        ``nondeterminism``).
 
         Registry workloads are declarative: they survive
         :meth:`to_spec`/:meth:`from_spec`, so sweeps and multiprocess
@@ -493,18 +461,6 @@ class Scenario:
             plan = FaultPlan.from_jsonable(plan)
         self._fault_plan = plan
         return self
-
-    def inject_fault(self, seconds: float = 0.01) -> "Scenario":
-        """Install a *deliberately nondeterministic* workload for
-        ``seconds`` of virtual time (the sanitizer's positive
-        control). Declarative, so it survives the spec round trip and
-        runs inside multiprocess workers — divergence must be
-        detected there, not masked by the parent."""
-        self._check_mutable()
-        if seconds <= 0:
-            raise ValueError(f"fault duration must be > 0, got {seconds}")
-        self._fault_seconds = float(seconds)
-        return self.traffic(_nondeterminism_fault(seconds))
 
     def resilience(
         self,
@@ -1114,8 +1070,6 @@ class Scenario:
         netperf: List[Tuple[int, Optional[int]]] = []
         traffic: List[Tuple[str, Tuple[Tuple[str, Any], ...]]] = []
         for setup in self._traffic:
-            if getattr(setup, "_fault_params", None) is not None:
-                continue  # declarative too: travels as fault_seconds
             entry = getattr(setup, "_traffic_entry", None)
             if entry is not None:
                 traffic.append(entry)
@@ -1144,7 +1098,6 @@ class Scenario:
             reference=self._reference,
             seed=self._seed,
             netperf=tuple(netperf),
-            fault_seconds=self._fault_seconds,
             traffic=tuple(traffic),
             faults=self._fault_plan,
         )
@@ -1174,8 +1127,6 @@ class Scenario:
             scenario.netperf(flows, flow_seed)
         for entry_name, entry_params in getattr(spec, "traffic", ()):
             scenario.workload(entry_name, **dict(entry_params))
-        if getattr(spec, "fault_seconds", None) is not None:
-            scenario.inject_fault(spec.fault_seconds)
         if getattr(spec, "faults", None) is not None:
             scenario.faults(spec.faults)
         return scenario

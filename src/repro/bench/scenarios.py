@@ -11,7 +11,7 @@ These workloads cover the hot paths the ROADMAP cares about:
 ``kernel_dispatch``
     The kernel seam in isolation: self-reposting timers drive the
     dispatch loop (digest armed, no emulation payload). Reports the
-    measured kernel's events/sec and, for the optimized kernels, the
+    measured kernel's events/sec and, for the batched kernel, the
     ratio over a scalar reference run of the identical event stream.
 
 ``capacity_sweep``

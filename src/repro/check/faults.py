@@ -14,9 +14,9 @@ mutates link state directly — calling ``set_link_up``/
 changes per-process pipe state *outside* the timeline: workers that
 never execute that code path diverge from workers that do, and the
 digest contract breaks in a way the sanitizer only catches after the
-fact. Route the mutation through a :class:`~repro.faults.FaultPlan`
-(or the imperative :class:`~repro.core.faults.FaultInjector`, which
-shares the applier's primitives) instead.
+fact. Declare the mutation as an event of a
+:class:`~repro.faults.FaultPlan` instead; the applier is the only
+code path that changes a link.
 
 ========  ============================================================
 FLT001    Direct fault mutation: a ``set_link_up``/``set_link_params``

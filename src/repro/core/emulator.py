@@ -83,10 +83,9 @@ class EmulationConfig:
     #: domain. Digests are worker-count invariant by construction.
     workers: int = 0
     #: Hot-core kernel (see :mod:`repro.core.kernel`): ``"scalar"``
-    #: reference, ``"batched"`` columnar (default), or ``"numpy"``
-    #: vectorized. Selects both each pipe's delay-line engine and the
-    #: event-domain dispatch loop; every kernel dispatches a
-    #: digest-identical event stream.
+    #: reference or ``"batched"`` columnar (default). Selects both each
+    #: pipe's delay-line engine and the event-domain dispatch loop;
+    #: both kernels dispatch a digest-identical event stream.
     kernel: str = DEFAULT_KERNEL
 
     #: Strategies understood by :func:`repro.core.bind.bind_vns`.
@@ -520,7 +519,9 @@ class Emulation:
         that takes a cross-domain latency below the lookahead floor
         is refused with :class:`repro.faults.FaultPlanError` — a
         typed error at install time, not a causality violation
-        mid-run. Must be called before the run starts.
+        mid-run. A plan may be installed mid-run, but one whose
+        earliest occurrence is already in the past is refused the
+        same way, leaving no applier and the matrix untouched.
         """
         from repro.core.faults import FaultApplier
         from repro.faults import FaultPlanError
@@ -528,13 +529,20 @@ class Emulation:
         if self.fault_applier is not None:
             raise FaultPlanError("a fault plan is already installed")
         plan.validate(self.topology)
+        applier = FaultApplier(self, plan)
+        if applier.first_time_s() < self.sim.now:
+            raise FaultPlanError(
+                f"fault plan starts at t={applier.first_time_s()}, before "
+                f"the clock (t={self.sim.now}); install it before the run "
+                f"reaches its first event"
+            )
         if self.num_domains > 1 and hasattr(self.sim, "install_lookahead"):
             minimums = plan.min_latency(self.topology)
             if minimums:
                 self.sim.install_lookahead(
                     self._derive_lookahead_matrix(latency_min=minimums)
                 )
-        self.fault_applier = FaultApplier(self, plan).install()
+        self.fault_applier = applier.install()
         return self.fault_applier
 
     def _derive_lookahead_matrix(self, latency_min=None):

@@ -8,22 +8,18 @@ departure times and descriptors that :meth:`service` drains in runs
 (one call per pipe per tick), instead of one heap entry and one
 callback per packet.
 
-Three interchangeable kernels implement the same delay-line contract:
+Two interchangeable kernels implement the same delay-line contract:
 
 ``scalar``
     The reference implementation: deques of ``(descriptor, time,
     ideal)`` tuples, one pop per packet, every value recomputed where
     it is read. Written for auditability — this is the yardstick the
-    sanitizer compares the optimized kernels against.
+    sanitizer compares the optimized kernel against.
 ``batched``
     The production kernel: columnar Python lists (descriptor, time,
     ideal columns) with head offsets, run-scanned and drained by
     slice. Also selects the optimized dispatch loop in
     :class:`~repro.engine.domain.EventDomain`.
-``numpy``
-    The vectorized kernel: float64 time columns, ``searchsorted`` run
-    detection and vectorized latency freeze. Requires numpy; the
-    config layer refuses the name when it is missing.
 
 Every kernel must be *digest-identical*: same exit order, same exit
 times, same ``head_deadline`` floats (all IEEE-double arithmetic in
@@ -58,15 +54,10 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Tuple
 
-try:  # pragma: no cover - exercised via numpy_available()
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional kernel dep
-    _np = None
-
 INFINITY = float("inf")
 
 #: Kernel names accepted by ``--kernel`` / ``EmulationConfig.kernel``.
-KERNELS = ("scalar", "batched", "numpy")
+KERNELS = ("scalar", "batched")
 
 #: The production default.
 DEFAULT_KERNEL = "batched"
@@ -76,22 +67,12 @@ DEFAULT_KERNEL = "batched"
 _COMPACT_AT = 512
 
 
-def numpy_available() -> bool:
-    """Whether the ``numpy`` kernel can run in this interpreter."""
-    return _np is not None
-
-
 def require_kernel(name: str) -> str:
     """Validate a kernel name; raises :class:`ValueError` on an
-    unknown name or an unavailable backend library."""
+    unknown name."""
     if name not in KERNELS:
         raise ValueError(
             f"unknown kernel {name!r}; valid kernels: {', '.join(KERNELS)}"
-        )
-    if name == "numpy" and _np is None:
-        raise ValueError(
-            "kernel 'numpy' requires numpy, which is not installed; "
-            "use 'batched' or 'scalar'"
         )
     return name
 
@@ -100,8 +81,8 @@ class ScalarDelayLine:
     """Reference delay line: tuple deques, one element at a time.
 
     Deliberately plain — no cached deadlines, no columnar storage —
-    so its behavior is auditable by inspection. The optimized kernels
-    are verified against it (same exits, same floats, same digests).
+    so its behavior is auditable by inspection. The batched kernel
+    is verified against it (same exits, same floats, same digests).
     """
 
     __slots__ = ("_bw", "_dl")
@@ -301,148 +282,9 @@ class BatchedDelayLine:
         return lost
 
 
-class NumpyDelayLine:
-    """Vectorized delay line: float64 time columns.
-
-    Times live in preallocated numpy arrays (grown by doubling);
-    descriptors and ideal exits stay in Python lists aligned index-
-    for-index with the arrays. Run detection uses ``searchsorted`` on
-    the (monotone) bandwidth column and a first-exceed scan on the
-    delay column; the latency freeze is one vectorized add. All
-    arithmetic is IEEE double, bit-identical to the Python kernels;
-    scalars crossing back into the engine are cast to ``float`` so no
-    ``np.float64`` ever enters a heap or the quantizer.
-    """
-
-    __slots__ = (
-        "_bw_desc", "_bw_time", "_bw_ideal", "_bw_head",
-        "_dl_desc", "_dl_time", "_dl_ideal", "_dl_head",
-        "bw_len", "dl_len", "head_deadline",
-    )
-
-    name = "numpy"
-
-    def __init__(self):
-        if _np is None:
-            raise RuntimeError(
-                "kernel 'numpy' requires numpy, which is not installed"
-            )
-        self._bw_desc: list = []
-        self._bw_time = _np.empty(64, dtype=_np.float64)
-        self._bw_ideal: list = []
-        self._bw_head = 0
-        self._dl_desc: list = []
-        self._dl_time = _np.empty(64, dtype=_np.float64)
-        self._dl_ideal: list = []
-        self._dl_head = 0
-        self.bw_len = 0
-        self.dl_len = 0
-        self.head_deadline = INFINITY
-
-    @staticmethod
-    def _grown(array, needed: int):
-        capacity = array.shape[0]
-        if needed <= capacity:
-            return array
-        while capacity < needed:
-            capacity *= 2
-        grown = _np.empty(capacity, dtype=_np.float64)
-        grown[: array.shape[0]] = array
-        return grown
-
-    def admit(self, descriptor, dequeue_at: float, ideal_exit: float) -> None:
-        tail = len(self._bw_desc)
-        bw_time = self._bw_time
-        if tail == bw_time.shape[0]:
-            self._bw_time = bw_time = self._grown(bw_time, tail + 1)
-        bw_time[tail] = dequeue_at
-        self._bw_desc.append(descriptor)
-        self._bw_ideal.append(ideal_exit)
-        self.bw_len += 1
-        if dequeue_at < self.head_deadline:
-            self.head_deadline = dequeue_at
-
-    def service(self, cutoff: float, latency_s: float) -> Tuple[list, int]:
-        bw_time = self._bw_time
-        h = self._bw_head
-        n = len(self._bw_desc)
-        if h < n and bw_time[h] <= cutoff:
-            k = h + int(
-                _np.searchsorted(bw_time[h:n], cutoff, side="right")
-            )
-            moved = k - h
-            dl_tail = len(self._dl_desc)
-            dl_time = self._dl_time = self._grown(
-                self._dl_time, dl_tail + moved
-            )
-            dl_time[dl_tail : dl_tail + moved] = bw_time[h:k] + latency_s
-            self._dl_desc.extend(self._bw_desc[h:k])
-            self._dl_ideal.extend(self._bw_ideal[h:k])
-            self.bw_len -= moved
-            self.dl_len += moved
-            self._bw_head = k
-            if k >= _COMPACT_AT and k * 2 >= len(self._bw_desc):
-                remaining = len(self._bw_desc) - k
-                bw_time[:remaining] = bw_time[k : k + remaining]
-                del self._bw_desc[:k]
-                del self._bw_ideal[:k]
-                self._bw_head = 0
-        exits: List = []
-        through = 0
-        dl_time = self._dl_time
-        dh = self._dl_head
-        dn = len(self._dl_desc)
-        if dh < dn and dl_time[dh] <= cutoff:
-            segment = dl_time[dh:dn]
-            over = _np.nonzero(segment > cutoff)[0]
-            dk = dh + (int(over[0]) if over.size else dn - dh)
-            dl_desc = self._dl_desc
-            dl_ideal = self._dl_ideal
-            exits = dl_desc[dh:dk]
-            for i in range(dh, dk):
-                descriptor = dl_desc[i]
-                descriptor.ideal_time = dl_ideal[i]
-                through += descriptor.packet.size_bytes
-            self.dl_len -= dk - dh
-            self._dl_head = dk
-            if dk >= _COMPACT_AT and dk * 2 >= len(dl_desc):
-                remaining = len(dl_desc) - dk
-                dl_time[:remaining] = dl_time[dk : dk + remaining]
-                del dl_desc[:dk]
-                del dl_ideal[:dk]
-                self._dl_head = 0
-        head = INFINITY
-        if self.bw_len:
-            head = float(self._bw_time[self._bw_head])
-        if self.dl_len:
-            t = float(self._dl_time[self._dl_head])
-            if t < head:
-                head = t
-        self.head_deadline = head
-        return exits, through
-
-    def flush(self) -> int:
-        lost = self.bw_len + self.dl_len
-        for descriptor in self._bw_desc[self._bw_head:]:
-            descriptor.release()
-        for descriptor in self._dl_desc[self._dl_head:]:
-            descriptor.release()
-        del self._bw_desc[:]
-        del self._bw_ideal[:]
-        self._bw_head = 0
-        del self._dl_desc[:]
-        del self._dl_ideal[:]
-        self._dl_head = 0
-        self.bw_len = 0
-        self.dl_len = 0
-        self.head_deadline = INFINITY
-        return lost
-
-
 _DELAY_LINES = {
     "scalar": ScalarDelayLine,
     "batched": BatchedDelayLine,
-    "numpy": NumpyDelayLine,
 }
 
 

@@ -16,8 +16,8 @@ Each pipe maintains the computation twice:
 
 The queues themselves live behind the hot-core seam
 (:mod:`repro.core.kernel`): a pipe owns a delay-line engine — scalar
-reference, batched columnar, or numpy-vectorized — and the arrival
-math here stays kernel-agnostic. All kernels are digest-identical.
+reference or batched columnar — and the arrival math here stays
+kernel-agnostic. Both kernels are digest-identical.
 """
 
 from __future__ import annotations

@@ -107,7 +107,7 @@ class EventDomain:
         #: Hot-core kernel selection (see :mod:`repro.core.kernel`):
         #: ``"scalar"`` dispatches through the reference loop —
         #: per-event rare-path checks, nothing hoisted — while
-        #: ``"batched"``/``"numpy"`` use the optimized split loops.
+        #: ``"batched"`` uses the optimized split loops.
         #: The same name also selects each pipe's delay-line engine;
         #: all kernels dispatch byte-identical event streams.
         self.kernel = kernel
@@ -153,7 +153,7 @@ class EventDomain:
         :attr:`on_dispatch` observer receives every event — anonymous
         ``post()`` entries get a synthesized :class:`Event` handle —
         and recomputes the callsite encoding per event, nothing
-        memoized. The optimized kernels fold inline in the dispatch
+        memoized. The batched kernel folds inline in the dispatch
         loop, with callsite bytes memoized per function and the hash
         fed in joined chunks; tests pin the byte equality of the two
         mechanisms. Like :attr:`on_dispatch`, arming mid-run takes
@@ -402,10 +402,10 @@ class EventDomain:
         # The dispatch loop exists in kernel-selected variants. The
         # scalar kernel runs the reference loop: one pop-check-fire
         # cycle per event with every rare-path branch (hook, digest)
-        # tested in place — the auditable yardstick. The batched and
-        # numpy kernels run the optimized split loops with the
-        # rare-path branches hoisted out: the fast loop assumes no
-        # on_dispatch hook; the slow loop services it. Locals beat
+        # tested in place — the auditable yardstick. The batched kernel
+        # runs the optimized split loops with the rare-path branches
+        # hoisted out: the fast loop assumes no on_dispatch hook; the
+        # slow loop services it. Locals beat
         # attribute loads in the loop body. All variants dispatch in
         # identical (time, seq) order from the same heap — the event
         # streams are byte-identical.

@@ -1,14 +1,15 @@
-"""Declarative fault timelines (paper Sec. 4.3, spec-portable form).
+"""Declarative fault timelines (paper Sec. 4.3).
 
-The imperative :class:`repro.core.faults.FaultInjector` schedules
-closures directly on a kernel, so its scenarios cannot cross the
-``ScenarioSpec`` pickle boundary: they silently vanish on the
-multiprocess backend and cannot be checkpointed or swept. This module
-is the declarative replacement — a :class:`FaultPlan` is a frozen,
-picklable timeline of typed events that travels *inside* the spec,
-is applied by the single sanctioned :class:`repro.core.faults.FaultApplier`,
-and produces digest-identical event streams across backends, worker
-counts, and kernels.
+A :class:`FaultPlan` is a frozen, picklable timeline of typed events:
+link failure and recovery, parameter changes, node churn, partitions
+and recurring random perturbations. It is the only way to change a
+link during a run. The plan travels *inside* the ``ScenarioSpec`` (so
+multiprocess workers, checkpoints and sweeps carry it), is installed
+with ``Emulation.install_fault_plan`` and applied by the one
+:class:`repro.core.faults.FaultApplier`, and produces digest-identical
+event streams across backends, worker counts, and kernels. The
+paper's random stress test is a plan too: :func:`random_outages`
+draws its failure/recovery events up front.
 
 Timeline semantics
 ------------------
@@ -32,8 +33,9 @@ Timeline semantics
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Mapping, Optional, Tuple, Union
+import random
+from dataclasses import dataclass, fields, replace
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 
 class FaultPlanError(ValueError):
@@ -109,8 +111,7 @@ class Partition:
 
 @dataclass(frozen=True)
 class Perturbation:
-    """A recurring random perturbation window, subsuming the
-    imperative ``LinkPerturbation``.
+    """A recurring random perturbation window.
 
     Every ``period_s`` within ``[start_s, stop_s)`` a fraction
     ``link_fraction`` of the candidate links is drawn from the plan's
@@ -137,6 +138,46 @@ class Perturbation:
             )
         if self.loss_add is not None:
             object.__setattr__(self, "loss_add", tuple(self.loss_add))
+
+
+def random_outages(
+    link_ids: Iterable[int],
+    rng: random.Random,
+    start_s: float,
+    stop_s: float,
+    mean_failure_interval_s: float = 10.0,
+    mean_outage_s: float = 3.0,
+    protect: Iterable[int] = (),
+) -> Tuple[Union[LinkDown, LinkUp], ...]:
+    """The paper's random stress test as plan events: "random stress
+    tests are useful because it is often just as important to
+    identify conditions under which services will fail".
+
+    Starting at ``start_s``, outages begin at exponential intervals
+    (mean ``mean_failure_interval_s``) on a link drawn uniformly from
+    ``link_ids`` minus ``protect`` (e.g. a service's only access
+    link), and each lasts an exponential time (mean
+    ``mean_outage_s``), clipped to ``stop_s``. Each outage draws
+    ``expovariate``, ``choice``, ``expovariate`` from ``rng`` in that
+    order, so the events are a pure function of the RNG state. Returns
+    one ``LinkDown``/``LinkUp`` pair per outage, in draw order."""
+    excluded = set(protect)
+    candidates = [
+        link_id for link_id in sorted(link_ids) if link_id not in excluded
+    ]
+    if not candidates:
+        raise FaultPlanError("no links eligible for stress")
+    events = []
+    now = start_s
+    while True:
+        now += rng.expovariate(1.0 / mean_failure_interval_s)
+        if now >= stop_s:
+            break
+        link_id = rng.choice(candidates)
+        outage = rng.expovariate(1.0 / mean_outage_s)
+        events.append(LinkDown(now, link_id))
+        events.append(LinkUp(min(stop_s, now + outage), link_id))
+    return tuple(events)
 
 
 FaultEvent = Union[LinkDown, LinkUp, SetLinkParams, NodeChurn, Partition, Perturbation]

@@ -155,26 +155,6 @@ def _cmd_route(args) -> int:
     return 0
 
 
-def _cmd_emulate(args) -> int:
-    """Deprecated alias: the Run phase lives in ``repro-net run``."""
-    print(
-        "warning: 'repro-net emulate' is deprecated and will be removed; "
-        "use 'repro-net run' (same topology/flows/seconds flags, plus "
-        "--report/--csv/--out-dir for the RunReport)",
-        file=sys.stderr,
-    )
-    return main([
-        "run", args.input,
-        "--mode", args.mode,
-        "--walk-in", str(args.walk_in),
-        "--cores", str(args.cores),
-        "--hosts", str(max(1, args.cores)),
-        "--flows", str(args.flows),
-        "--seconds", str(args.seconds),
-        "--seed", str(args.seed),
-    ])
-
-
 def _resolve_report_paths(out_dir, report=None, csv=None, basename="report"):
     """One rule for where run artifacts land, shared by run/bench/exp:
     explicit paths win; otherwise ``--out-dir`` (created on demand)
@@ -481,7 +461,7 @@ def _cmd_sanitize(args) -> int:
             # Declarative fault: survives the spec round trip, so it
             # runs *inside* multiprocess workers too — divergence is
             # detected there, not masked by the parent.
-            scenario.inject_fault(args.seconds)
+            scenario.workload("nondeterminism", seconds=args.seconds)
         if getattr(args, "fault_plan", None):
             from repro.faults import FaultPlan
 
@@ -777,19 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
     import_cmd.add_argument("--seed", type=int, default=0)
     import_cmd.add_argument("-o", "--output", required=True)
     import_cmd.set_defaults(func=_cmd_import)
-
-    emulate = sub.add_parser(
-        "emulate",
-        help="(deprecated) alias for `run` — use `repro-net run`",
-    )
-    emulate.add_argument("input")
-    emulate.add_argument("--mode", choices=sorted(_MODES), default="hop-by-hop")
-    emulate.add_argument("--walk-in", type=int, default=1)
-    emulate.add_argument("--cores", type=int, default=1)
-    emulate.add_argument("--flows", type=int, default=4)
-    emulate.add_argument("--seconds", type=float, default=3.0)
-    emulate.add_argument("--seed", type=int, default=0)
-    emulate.set_defaults(func=_cmd_emulate)
 
     run = sub.add_parser(
         "run",

@@ -36,6 +36,11 @@ Registered entries (the paper's workload families):
     The Fig. 12 adaptive-overlay experiment: an ACDC tree over random
     members, link perturbation in a window, sampled cost/delay
     summaries.
+
+``nondeterminism``
+    Not a paper workload: the determinism sanitizer's positive
+    control, a deliberately unseeded timer that makes two same-seed
+    runs diverge (``repro-net sanitize --inject-fault``).
 """
 
 from __future__ import annotations
@@ -398,3 +403,31 @@ class _AcdcHandle:
             )
         out["acdc.max_delay_final"] = self.samples[-1]["max_delay"]
         return out
+
+
+# ----------------------------------------------------------------------
+# nondeterminism: the sanitizer's positive control
+# ----------------------------------------------------------------------
+
+@register_traffic("nondeterminism")
+def nondeterminism_traffic(emulation, seconds: float = 0.01):
+    """Deliberately break determinism for ``seconds`` of virtual time.
+
+    Schedules a self-perpetuating tick whose period comes from an
+    *unseeded* RNG, so two same-seed runs dispatch different event
+    streams. The ticks land on the emulation's front-door clock
+    (domain 0 for a partitioned simulator), so on the multiprocess
+    backend the divergence happens *inside a worker* and must be
+    caught by the composed per-domain digests."""
+    import random as _random
+
+    if seconds <= 0:
+        raise ValueError(f"fault duration must be > 0, got {seconds}")
+    rng = _random.Random()  # repro: allow-rng (deliberate fault)
+    sim = emulation.sim
+
+    def tick() -> None:
+        if sim.now < seconds:
+            sim.schedule(rng.uniform(1e-4, 1e-3), tick)
+
+    sim.schedule(rng.uniform(1e-4, 1e-3), tick)

@@ -1,4 +1,12 @@
-"""Tests for fault injection and dynamic network changes."""
+"""Tests for fault injection and dynamic network changes.
+
+Every scenario goes through the one fault path: a declarative
+:class:`FaultPlan` installed with ``Emulation.install_fault_plan``.
+Event counts, arrival times and link parameters are pinned exactly,
+so any change to when or how a fault applies shows up here.
+"""
+
+import random
 
 import pytest
 
@@ -6,10 +14,18 @@ from repro.core import (
     DistillationMode,
     EmulationConfig,
     ExperimentPipeline,
-    FaultInjector,
-    LinkPerturbation,
 )
 from repro.engine import Simulator
+from repro.faults import (
+    FaultPlan,
+    FaultPlanError,
+    LinkDown,
+    LinkUp,
+    NodeChurn,
+    Partition,
+    Perturbation,
+    random_outages,
+)
 from repro.topology import Topology, NodeKind, ring_topology
 
 
@@ -35,44 +51,68 @@ def build_square():
     return sim, emulation
 
 
+def install(emulation, *events):
+    return emulation.install_fault_plan(FaultPlan.of(*events))
+
+
+def stress(emulation, start_s, stop_s, **kwargs):
+    """The paper's random stress test, drawn from the plan's own
+    ``faults`` stream so a perturbation in the same plan continues
+    the draw sequence."""
+    return random_outages(
+        emulation.topology.links,
+        emulation.rng.stream("faults"),
+        start_s,
+        stop_s,
+        **kwargs,
+    )
+
+
+def logged(applier, kind):
+    return [entry["links"] for entry in applier.events_log if entry["kind"] == kind]
+
+
 def test_scheduled_link_failure_and_recovery():
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
-    injector.fail_link_at(1.0, 0)
-    injector.recover_link_at(2.0, 0)
+    applier = install(emulation, LinkDown(1.0, 0), LinkUp(2.0, 0))
     sim.run(until=1.5)
     assert not emulation.topology.links[0].up
     assert not emulation.pipes_of_link(0)[0].up
     sim.run(until=2.5)
     assert emulation.topology.links[0].up
-    assert injector.failures_injected == 1
+    assert applier.injected == 1
+    assert applier.recovered == 1
+    assert sim.events_dispatched == 2
 
 
 def test_node_failure_fails_incident_links():
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
-    injector.fail_node_at(1.0, 1)  # router r1
+    install(
+        emulation,
+        NodeChurn(1.0, 1),  # router r1
+        NodeChurn(2.0, 1, up=True),
+    )
     sim.run(until=1.5)
     assert not emulation.topology.links[0].up
     assert not emulation.topology.links[1].up
     assert emulation.topology.links[2].up
-    injector.recover_node_at(2.0, 1)
     sim.run(until=2.5)
     assert emulation.topology.links[0].up
 
 
 def test_partition_cuts_traffic():
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
     received = []
     emulation.vn(1).udp_socket(port=9, on_receive=lambda *a: received.append(sim.now))
     sender = emulation.vn(0).udp_socket()
-    injector.partition_at(1.0, [0, 2])  # both of c0's access links
+    applier = install(emulation, Partition(1.0, (0, 2)))  # c0's access links
     sim.at(0.5, sender.send_to, 1, 9, 100)
     sim.at(1.5, sender.send_to, 1, 9, 100)
     sim.run(until=3.0)
-    assert len(received) == 1
+    assert received == [0.502224]
     assert emulation.monitor.packets_unroutable == 1
+    assert applier.injected == 2
+    assert sim.events_dispatched == 7
 
 
 def test_node_failure_recomputes_routes_and_recovery_restores_them():
@@ -80,55 +120,70 @@ def test_node_failure_recomputes_routes_and_recovery_restores_them():
     recovering it snaps traffic back to the 1 ms path (the paper's
     instantaneous shortest-path recomputation)."""
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
     received = []
     emulation.vn(1).udp_socket(port=9, on_receive=lambda *a: received.append(sim.now))
     sender = emulation.vn(0).udp_socket()
-    injector.fail_node_at(1.0, 1)
-    injector.recover_node_at(3.0, 1)
+    install(emulation, NodeChurn(1.0, 1), NodeChurn(3.0, 1, up=True))
     sends = (0.5, 1.5, 3.5)
     for when in sends:
         sim.at(when, sender.send_to, 1, 9, 100)
     sim.run(until=5.0)
-    assert len(received) == 3
+    assert received == [0.502224, 1.5402239999999998, 3.502224]
     latencies = [t - s for t, s in zip(received, sends)]
     assert latencies[0] < 0.010          # short path: 2 x 1 ms
     assert latencies[1] > 0.030          # detour: 2 x 20 ms
     assert latencies[2] < 0.010          # back on the short path
     assert latencies[2] == pytest.approx(latencies[0])
+    assert sim.events_dispatched == 17
 
 
 def test_in_flight_packets_on_failed_links_are_dropped():
     """A failure flushes the link's pipes: packets already in flight
     are dropped, never delivered late over a dead link."""
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
     received = []
     emulation.vn(1).udp_socket(port=9, on_receive=lambda *a: received.append(sim.now))
     sender = emulation.vn(0).udp_socket()
     # In flight on the c0-r1 hop (1 ms latency) when r1 dies at t=1.0.
     sim.at(0.9995, sender.send_to, 1, 9, 100)
-    injector.fail_node_at(1.0, 1)
+    install(emulation, NodeChurn(1.0, 1))
     sim.run(until=2.0)
     assert received == []
+    assert sum(pipe.drops_down for pipe in emulation.pipes_of_link(0)) == 1
+    assert sim.events_dispatched == 4
 
 
 def test_partition_recovery_restores_connectivity():
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
     received = []
     emulation.vn(1).udp_socket(port=9, on_receive=lambda *a: received.append(sim.now))
     sender = emulation.vn(0).udp_socket()
-    cut = [0, 2]  # both of c0's access links
-    injector.partition_at(1.0, cut)
-    for link_id in cut:
-        injector.recover_link_at(2.0, link_id)
+    cut = (0, 2)  # both of c0's access links
+    install(
+        emulation,
+        Partition(1.0, cut),
+        *[LinkUp(2.0, link_id) for link_id in cut],
+    )
     sim.at(1.5, sender.send_to, 1, 9, 100)  # inside the partition: lost
     sim.at(2.5, sender.send_to, 1, 9, 100)  # after healing: delivered
     sim.run(until=4.0)
-    assert len(received) == 1
-    assert received[0] > 2.5
+    assert received == [2.502224]
     assert emulation.monitor.packets_unroutable == 1
+    assert sim.events_dispatched == 9
+
+
+#: Ring link latencies mid-perturbation (t=3.5), for the links the
+#: three rounds chose; every other link keeps its original latency.
+PERTURBED_RING_LATENCY = {
+    0: 0.0021218411803726606,
+    1: 0.0024582451092641047,
+    2: 0.002463668144420842,
+    7: 0.0012152205089080727,
+    8: 0.0011746373779287706,
+    12: 0.001002714330415776,
+    13: 0.0012382964969571265,
+    16: 0.0011195830559507659,
+}
 
 
 def test_perturbation_changes_latencies_within_bounds():
@@ -142,56 +197,56 @@ def test_perturbation_changes_latencies_within_bounds():
         .bind(1)
         .run(EmulationConfig.reference())
     )
-    injector = FaultInjector(emulation)
     originals = {
         link_id: link.latency_s
         for link_id, link in emulation.topology.links.items()
     }
-    applied_sets = []
-    injector.start_perturbation(
-        LinkPerturbation(period_s=1.0, link_fraction=0.25, latency_scale=(1.0, 1.25)),
-        start_s=1.0,
-        stop_s=4.0,
-        on_applied=applied_sets.append,
+    applier = install(
+        emulation,
+        Perturbation(1.0, 4.0, 1.0, link_fraction=0.25, latency_scale=(1.0, 1.25)),
     )
     sim.run(until=3.5)
-    assert injector.perturbations_applied == 3
+    assert applier.perturbations_applied == 3
+    applied_sets = logged(applier, "perturbation")
+    assert applied_sets == [[0, 2, 12, 16], [1, 2, 7, 8], [2, 7, 8, 13]]
     assert all(len(chosen) == round(0.25 * len(originals)) for chosen in applied_sets)
     for link_id, link in emulation.topology.links.items():
         assert originals[link_id] <= link.latency_s <= 1.25 * originals[link_id] + 1e-12
+        assert link.latency_s == PERTURBED_RING_LATENCY.get(link_id, originals[link_id])
     # After stop, everything reverts.
     sim.run(until=5.0)
     for link_id, link in emulation.topology.links.items():
         assert link.latency_s == pytest.approx(originals[link_id])
+    assert sim.events_dispatched == 4
 
 
 def test_perturbation_does_not_compound():
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
-    injector.start_perturbation(
-        LinkPerturbation(period_s=0.5, link_fraction=1.0, latency_scale=(1.2, 1.2)),
-        start_s=0.0,
-        stop_s=10.0,
+    applier = install(
+        emulation,
+        Perturbation(0.0, 10.0, 0.5, link_fraction=1.0, latency_scale=(1.2, 1.2)),
     )
     sim.run(until=5.1)
-    # After 10 rounds of x1.2 the latency is still exactly 1.2x the
+    # After 11 rounds of x1.2 the latency is still exactly 1.2x the
     # original (scales apply to originals, not the current value).
     assert emulation.topology.links[0].latency_s == pytest.approx(0.001 * 1.2)
+    assert applier.perturbations_applied == 11
+    assert sim.events_dispatched == 11
 
 
 def test_perturbation_with_bandwidth_and_loss():
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
-    injector.start_perturbation(
-        LinkPerturbation(
-            period_s=1.0,
+    install(
+        emulation,
+        Perturbation(
+            0.0,
+            10.0,
+            1.0,
             link_fraction=1.0,
             latency_scale=(1.0, 1.0),
             bandwidth_scale=(0.5, 0.5),
             loss_add=(0.1, 0.1),
         ),
-        start_s=0.0,
-        stop_s=10.0,
     )
     sim.run(until=0.5)
     link = emulation.topology.links[0]
@@ -200,35 +255,53 @@ def test_perturbation_with_bandwidth_and_loss():
     pipe = emulation.pipes_of_link(0)[0]
     assert pipe.bandwidth_bps == pytest.approx(5e6)
     assert pipe.loss_rate == pytest.approx(0.1)
+    assert sim.events_dispatched == 1
 
 
 def test_random_stress_schedules_outages():
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
-    outages = injector.random_stress(
-        start_s=0.0, stop_s=60.0, mean_failure_interval_s=5.0,
+    events = stress(
+        emulation, start_s=0.0, stop_s=60.0, mean_failure_interval_s=5.0,
         mean_outage_s=1.0,
     )
-    assert outages > 3
+    outages = len(events) // 2
+    assert outages == 13
+    applier = install(emulation, *events)
     sim.run(until=61.0)
-    assert injector.failures_injected == outages
+    assert len(logged(applier, "link_down")) == outages
+    assert sim.events_dispatched == 2 * outages
     # Everything recovered by the end.
     assert all(link.up for link in emulation.topology.links.values())
 
 
 def test_random_stress_respects_protected_links():
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
     protected = [0, 1]
-    injector.random_stress(
-        start_s=0.0, stop_s=120.0, mean_failure_interval_s=2.0,
+    events = stress(
+        emulation, start_s=0.0, stop_s=120.0, mean_failure_interval_s=2.0,
         mean_outage_s=100.0, protect=protected,
     )
+    assert len(events) == 2 * 59
+    applier = install(emulation, *events)
     sim.run(until=60.0)
     for link_id in protected:
         assert emulation.topology.links[link_id].up
-    with pytest.raises(ValueError):
-        injector.random_stress(0.0, 10.0, protect=[0, 1, 2, 3])
+    assert not emulation.topology.links[2].up
+    assert not emulation.topology.links[3].up
+    assert len(logged(applier, "link_down")) == 31
+    assert sim.events_dispatched == 40
+    with pytest.raises(FaultPlanError):
+        stress(emulation, 0.0, 10.0, protect=[0, 1, 2, 3])
+
+
+#: Link parameters at t=10 of the stress-plus-perturbation window:
+#: (bandwidth, latency, loss) per link.
+STRESSED_SQUARE_AT_10S = {
+    0: (6873312.2447425835, 0.0013633236622395918, 0.021374940580360647),
+    1: (5771385.735999095, 0.0011487925766473044, 0.18801816455307246),
+    2: (8402454.81347684, 0.024274403508592623, 0.017152010925917383),
+    3: (8122888.184366632, 0.029060262388739228, 0.0685500175426429),
+}
 
 
 def test_random_stress_with_perturbation_restores_originals():
@@ -236,27 +309,30 @@ def test_random_stress_with_perturbation_restores_originals():
     perturbed parameter (latency, bandwidth, loss) is back at its
     original value — on the topology link AND its pipes."""
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
     originals = {
         link_id: (link.bandwidth_bps, link.latency_s, link.loss_rate)
         for link_id, link in emulation.topology.links.items()
     }
-    injector.random_stress(
-        start_s=0.0, stop_s=20.0, mean_failure_interval_s=3.0,
+    events = stress(
+        emulation, start_s=0.0, stop_s=20.0, mean_failure_interval_s=3.0,
         mean_outage_s=1.0,
-        perturbation=LinkPerturbation(
-            period_s=2.0, link_fraction=1.0,
+    )
+    assert len(events) == 2 * 6
+    applier = install(
+        emulation,
+        *events,
+        Perturbation(
+            0.0, 20.0, 2.0, link_fraction=1.0,
             latency_scale=(1.1, 1.5),
             bandwidth_scale=(0.5, 0.9),
             loss_add=(0.0, 0.2),
         ),
     )
     sim.run(until=10.0)
-    # Mid-window the perturbation has visibly moved something.
-    assert any(
-        emulation.topology.links[link_id].latency_s != pytest.approx(lat)
-        for link_id, (_, lat, _) in originals.items()
-    )
+    # Mid-window the perturbation has visibly moved every link.
+    for link_id, params in STRESSED_SQUARE_AT_10S.items():
+        link = emulation.topology.links[link_id]
+        assert (link.bandwidth_bps, link.latency_s, link.loss_rate) == params
     sim.run(until=25.0)
     assert all(link.up for link in emulation.topology.links.values())
     for link_id, (bw, lat, loss) in originals.items():
@@ -268,19 +344,25 @@ def test_random_stress_with_perturbation_restores_originals():
             assert pipe.bandwidth_bps == pytest.approx(bw)
             assert pipe.latency_s == pytest.approx(lat)
             assert pipe.loss_rate == pytest.approx(loss)
+    assert applier.perturbations_applied == 10
+    assert sim.events_dispatched == 23
 
 
 def test_random_stress_deterministic_given_seed():
-    counts = []
+    plans = []
     for _ in range(2):
         sim, emulation = build_square()
-        import random as _random
-
-        injector = FaultInjector(emulation, rng=_random.Random(9))
-        counts.append(
-            injector.random_stress(0.0, 100.0, mean_failure_interval_s=7.0)
+        plans.append(
+            random_outages(
+                emulation.topology.links, random.Random(9), 0.0, 100.0,
+                mean_failure_interval_s=7.0,
+            )
         )
-    assert counts[0] == counts[1]
+    assert plans[0] == plans[1]
+    assert len(plans[0]) == 2 * 22
+    # A stress plan is plain data: it survives the JSON round trip.
+    plan = FaultPlan.of(*plans[0])
+    assert FaultPlan.from_json(plan.to_json()) == plan
 
 
 def test_service_survives_random_stress():
@@ -289,11 +371,13 @@ def test_service_survives_random_stress():
     from repro.apps.netperf import TcpStream
 
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
-    injector.random_stress(
-        start_s=1.0, stop_s=30.0, mean_failure_interval_s=4.0,
+    events = stress(
+        emulation, start_s=1.0, stop_s=30.0, mean_failure_interval_s=4.0,
         mean_outage_s=1.0, protect=[],
     )
+    assert len(events) == 2 * 6
+    install(emulation, *events)
     stream = TcpStream(emulation, 0, 1)
     sim.run(until=60.0)
-    assert stream.bytes_received > 1_000_000
+    assert stream.bytes_received == 56_871_380
+    assert sim.events_dispatched == 203_846

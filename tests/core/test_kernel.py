@@ -15,18 +15,14 @@ import random
 
 import pytest
 
-from repro.core.kernel import KERNELS, make_delay_line, numpy_available
+from repro.core.kernel import KERNELS, make_delay_line
 from repro.core.packet import PacketDescriptor
 from repro.core.pipe import INFINITY, Pipe
 from repro.core.scheduler import PipeScheduler
 from repro.net.packet import Packet
 
 
-def available_kernels():
-    return [k for k in KERNELS if k != "numpy" or numpy_available()]
-
-
-@pytest.fixture(params=available_kernels())
+@pytest.fixture(params=KERNELS)
 def kernel(request):
     return request.param
 
@@ -207,9 +203,8 @@ def _random_schedule(rng, ops=400):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_kernels_agree_on_randomized_schedules(seed):
-    kernels = available_kernels()
     schedule = _random_schedule(random.Random(seed))
-    results = {k: _drive(make_delay_line(k), schedule) for k in kernels}
+    results = {k: _drive(make_delay_line(k), schedule) for k in KERNELS}
     reference = results["scalar"]
     for name, observed in results.items():
         assert observed == reference, f"kernel {name} diverged from scalar"
@@ -217,7 +212,7 @@ def test_kernels_agree_on_randomized_schedules(seed):
 
 def test_flush_counts_agree_across_kernels():
     counts = {}
-    for name in available_kernels():
+    for name in KERNELS:
         line = make_delay_line(name)
         for i in range(7):
             line.admit(descriptor(100), 0.001 * (i + 1), 0.001 * (i + 1))

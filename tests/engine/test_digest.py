@@ -18,13 +18,9 @@ import functools
 import pytest
 
 from repro.check.sanitize import DomainProbe, _callsite
-from repro.core.kernel import KERNELS, numpy_available
+from repro.core.kernel import KERNELS
 from repro.engine.domain import _callsite_reference
 from repro.engine.simulator import Simulator
-
-
-def available_kernels():
-    return [k for k in KERNELS if k != "numpy" or numpy_available()]
 
 
 def _module_fn():
@@ -97,7 +93,7 @@ def _native_digest(kernel):
 
 def test_native_digest_matches_probe_on_every_kernel():
     expected = _probe_digest("scalar")
-    for kernel in available_kernels():
+    for kernel in KERNELS:
         assert _probe_digest(kernel) == expected
         assert _native_digest(kernel) == expected
 
@@ -137,7 +133,7 @@ def _interrupted_digest(kernel, events_before_boom):
 def test_raising_callback_flushes_identically(events_before_boom):
     digests = {
         k: _interrupted_digest(k, events_before_boom)
-        for k in available_kernels()
+        for k in KERNELS
     }
     assert len(set(digests.values())) == 1, digests
 
@@ -159,5 +155,5 @@ def test_stop_flushes_identically():
         sim.run()
         return sim.digest_hexdigest()
 
-    digests = {k: run(k) for k in available_kernels()}
+    digests = {k: run(k) for k in KERNELS}
     assert len(set(digests.values())) == 1, digests

@@ -4,11 +4,13 @@ and multiprocess backends, at every worker count, on every pipe
 kernel, and through a checkpoint/resume — while surfacing churn as
 typed drops and metrics, never an unhandled error."""
 
+import random
+
 import pytest
 
 from repro.api import Scenario
 from repro.check.sanitize import SimSanitizer
-from repro.core.kernel import KERNELS, numpy_available
+from repro.core.kernel import KERNELS
 from repro.engine.parallel import run_multiprocess
 from repro.faults import (
     FaultPlan,
@@ -19,6 +21,7 @@ from repro.faults import (
     Partition,
     Perturbation,
     SetLinkParams,
+    random_outages,
 )
 from repro.resilience import RunAborted, load_checkpoint
 from repro.topology import dumbbell_topology, ring_topology
@@ -26,19 +29,21 @@ from repro.topology import dumbbell_topology, ring_topology
 UNTIL = 0.02
 
 
-def _kernels():
-    return [k for k in KERNELS if k != "numpy" or numpy_available()]
-
-
 def _mixed_plan():
     """Down/up + param timeline + partition + recurring perturbation —
-    every event type the acceptance criteria name."""
+    every event type the acceptance criteria name — plus a random
+    stress test's outages over the whole ring."""
+    links = ring_topology(num_routers=8, vns_per_router=2).links
     return FaultPlan.of(
         LinkDown(0.004, 0),
         LinkUp(0.009, 0),
         SetLinkParams(0.006, 1, latency_s=0.003),
         Partition(0.010, (2,), heal_s=0.014),
         Perturbation(0.002, 0.016, 0.005, link_fraction=0.25),
+        *random_outages(
+            links, random.Random(11), 0.001, 0.016,
+            mean_failure_interval_s=0.004, mean_outage_s=0.002,
+        ),
     )
 
 
@@ -137,13 +142,13 @@ def test_flapping_storm_is_digest_invariant_across_kernels():
         when += 0.0002
     storm = FaultPlan.of(*flaps)
     digests = {}
-    for kernel in _kernels():
+    for kernel in KERNELS:
         digests[kernel], _ = _digest(_ring_scenario(kernel=kernel, plan=storm))
     assert len(set(digests.values())) == 1, digests
     scenario = _ring_scenario("multiprocess", workers=2, plan=storm)
     scenario.build()
     result = run_multiprocess(scenario, until=UNTIL, workers=2, sanitize=True)
-    assert result.composed_digest == digests[_kernels()[0]]
+    assert result.composed_digest == digests[KERNELS[0]]
     assert scenario.emulation.fault_applier.injected == 10
     assert scenario.emulation.fault_applier.recovered == 10
 
@@ -284,16 +289,14 @@ def test_multiprocess_report_carries_worker_fault_counters():
 
 
 # ----------------------------------------------------------------------
-# Imperative injector regression (lazy snapshots)
+# Installation guards and lazy snapshots
 # ----------------------------------------------------------------------
 
 def test_deliberate_param_change_after_injector_construction_survives():
-    """Regression: FaultInjector snapshotted every link eagerly at
-    construction, so a deliberate post-construction set_link_params
-    was clobbered by the perturbation window's restore. Snapshots are
-    now taken lazily at first perturbation."""
-    from repro.core.faults import FaultInjector, LinkPerturbation
-
+    """Regression: an eager snapshot of every link at install time
+    would make the perturbation window's restore clobber a deliberate
+    set_link_params made after the plan was installed. Snapshots are
+    taken lazily at first perturbation."""
     scenario = (
         Scenario.from_topology(dumbbell_topology(2), name="flt-dumbbell")
         .distill("hop-by-hop")
@@ -302,17 +305,44 @@ def test_deliberate_param_change_after_injector_construction_survives():
         .observe(False)
     )
     emulation = scenario.build()
-    injector = FaultInjector(emulation)
     link_id = sorted(emulation.topology.links)[0]
-    emulation.set_link_params(link_id, latency_s=0.005)  # deliberate
-    injector.start_perturbation(
-        LinkPerturbation(
-            period_s=0.002, link_fraction=1.0, latency_scale=(2.0, 2.0)
-        ),
-        start_s=0.004,
-        stop_s=0.008,
-        link_ids=[link_id],
+    applier = emulation.install_fault_plan(
+        FaultPlan.of(
+            Perturbation(
+                0.004, 0.008, 0.002, link_fraction=1.0,
+                latency_scale=(2.0, 2.0), link_ids=(link_id,),
+            )
+        )
     )
+    emulation.set_link_params(link_id, latency_s=0.005)  # deliberate
     scenario.run(until=0.012)
     pipe, _ = emulation.pipes_of_link(link_id)
     assert pipe.latency_s == pytest.approx(0.005)
+    assert applier.perturbations_applied == 2
+    assert scenario.sim.events_dispatched == 134
+
+
+@pytest.mark.parametrize("domains", [1, 4])
+def test_plan_starting_in_the_past_is_refused(domains):
+    """A plan whose first occurrence is before the clock cannot be
+    applied at its own times: refused with a typed error, leaving no
+    applier and the lookahead matrix untouched."""
+    scenario = (
+        Scenario(ring_topology(num_routers=8, vns_per_router=2))
+        .distill("hop-by-hop")
+        .assign(4)
+        .seed(7)
+        .netperf(flows=8)
+        .observe(False)
+        .backend("serial", domains=domains)
+    )
+    scenario.run(until=0.01)
+    emulation = scenario.emulation
+    matrix = getattr(scenario.sim, "matrix", None)
+    assert (matrix is not None) == (domains > 1)
+    late = FaultPlan.of(LinkDown(0.004, 0), LinkUp(0.006, 0))
+    with pytest.raises(FaultPlanError, match="before the clock"):
+        emulation.install_fault_plan(late)
+    assert emulation.fault_applier is None
+    assert getattr(scenario.sim, "matrix", None) is matrix
+    assert emulation.topology.links[0].up

@@ -11,11 +11,11 @@ from repro.core import (
     DistillationMode,
     EmulationConfig,
     ExperimentPipeline,
-    FaultInjector,
 )
 from repro.core.emulator import Emulation
 from repro.core.routing_emulation import DistanceVectorRouting
 from repro.engine import Simulator
+from repro.faults import FaultPlan, LinkDown, LinkUp
 from repro.net.interpose import interpose
 from repro.topology import NodeKind, Topology, ring_topology
 
@@ -44,20 +44,28 @@ def test_tcp_survives_link_failover():
         .create(topology)
         .run(EmulationConfig.reference())
     )
-    injector = FaultInjector(emulation)
-    done = []
     emulation.vn(1).tcp_listen(80, lambda c: None)
     conn = emulation.vn(0).tcp_connect(
         1, 80, on_established=lambda c: c.send(8_000_000, message="eof")
     )
-    injector.fail_link_at(1.0, 0)  # fast path down mid-transfer
-    injector.recover_link_at(4.0, 0)
+    emulation.install_fault_plan(
+        FaultPlan.of(
+            LinkDown(1.0, 0),  # fast path down mid-transfer
+            LinkUp(4.0, 0),
+        )
+    )
     sim.run(until=30.0)
     assert conn.bytes_acked == 8_000_000
     # The dying link dropped its queue: TCP saw real loss (recovered
     # by fast retransmit and/or RTO depending on what was in flight).
     assert conn.timeouts + conn.fast_retransmits >= 1
     assert conn.segments_retransmitted >= 1
+    # Pinned outcome: any change to when or how faults apply shows here.
+    assert (conn.timeouts, conn.fast_retransmits) == (0, 1)
+    assert conn.segments_retransmitted == 38
+    assert sim.events_dispatched == 27_651
+    assert emulation.topology.links[0].up
+    assert emulation.pipes_of_link(0)[0].latency_s == 0.002
 
 
 def test_tcp_through_dv_routing_convergence():
@@ -92,19 +100,22 @@ def test_cross_traffic_and_faults_compose():
     matrix = CrossTrafficMatrix()
     matrix.set_demand(0, 9, 1e6)
     model.schedule_profile([(1.0, matrix), (3.0, None)])
-    injector = FaultInjector(emulation)
     ring_link = next(
         l.id
         for l in topology.links.values()
         if topology.node(l.a).kind is NodeKind.STUB
         and topology.node(l.b).kind is NodeKind.STUB
     )
-    injector.fail_link_at(2.0, ring_link)
-    injector.recover_link_at(4.0, ring_link)
+    emulation.install_fault_plan(
+        FaultPlan.of(LinkDown(2.0, ring_link), LinkUp(4.0, ring_link))
+    )
 
     stream = TcpStream(emulation, 0, 9)
     sim.run(until=8.0)
     assert stream.bytes_received > 0
+    # Pinned outcome: any change to when or how faults apply shows here.
+    assert stream.bytes_received == 1_636_660
+    assert sim.events_dispatched == 9_371
     # After both perturbations clear, foreground pipes are restored.
     for src, dst, _bps in matrix.pairs():
         for pipe in emulation.lookup_pipes(src, dst):

@@ -10,9 +10,12 @@ The acceptance properties from the issue, scaled down to CI size:
   ``run.outcome`` and every resilience counter;
 * a persistent (nondeterministic) failure escalates and degrades to
   serial partitioned execution with the downgrade recorded;
-* ``inject_fault`` survives the spec round trip into multiprocess
-  workers, where the sanitizer must detect the divergence.
+* the ``nondeterminism`` workload (the sanitizer's injected fault)
+  survives the spec round trip into multiprocess workers, where the
+  sanitizer must detect the divergence.
 """
+
+import pickle
 
 import pytest
 
@@ -223,7 +226,7 @@ def _desyncing_chaos_scenario(workers=2, retries=1):
     (WorkerDesync) until retries exhaust."""
     return (
         _ring_scenario("multiprocess", workers=workers)
-        .inject_fault(RING_UNTIL)
+        .workload("nondeterminism", seconds=RING_UNTIL)
         .resilience(
             # Mid-run: coalesced windows leave ~15 epochs for this run
             # (hundreds before per-pair lookahead), so the kill epoch
@@ -253,16 +256,18 @@ def test_no_degrade_escalates_instead():
 
 
 # ----------------------------------------------------------------------
-# inject_fault: declarative, spec-portable (the bugfix regression)
+# The injected fault: declarative, spec-portable (the bugfix regression)
 # ----------------------------------------------------------------------
 
 def test_inject_fault_survives_the_spec_round_trip():
-    scenario = _ring_scenario().inject_fault(0.01)
+    """Workers rebuild from the pickled spec, so the fault entry must
+    survive pickling and ``from_spec`` as plain data."""
+    entry = ("nondeterminism", (("seconds", 0.01),))
+    scenario = _ring_scenario().workload("nondeterminism", seconds=0.01)
     spec = scenario.to_spec()
-    assert spec.fault_seconds == pytest.approx(0.01)
-    rebuilt = Scenario.from_spec(spec)
-    assert rebuilt._fault_seconds == pytest.approx(0.01)
-    assert rebuilt.to_spec().fault_seconds == pytest.approx(0.01)
+    assert entry in spec.traffic
+    rebuilt = Scenario.from_spec(pickle.loads(pickle.dumps(spec)))
+    assert rebuilt.to_spec().traffic == spec.traffic
 
 
 def test_injected_fault_is_detected_inside_multiprocess_workers():
@@ -273,7 +278,9 @@ def test_injected_fault_is_detected_inside_multiprocess_workers():
     from repro.check import sanitize_scenario_multiprocess
 
     result = sanitize_scenario_multiprocess(
-        lambda: _ring_scenario("multiprocess").inject_fault(RING_UNTIL),
+        lambda: _ring_scenario("multiprocess").workload(
+            "nondeterminism", seconds=RING_UNTIL
+        ),
         until=RING_UNTIL,
         seed=3,
         runs=2,
@@ -286,7 +293,7 @@ def test_injected_fault_is_detected_serially():
     from repro.check import sanitize_scenario
 
     result = sanitize_scenario(
-        lambda: _dumbbell_scenario().inject_fault(0.2),
+        lambda: _dumbbell_scenario().workload("nondeterminism", seconds=0.2),
         until=0.2,
         seed=3,
         runs=2,

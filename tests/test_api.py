@@ -171,8 +171,8 @@ def _rich_scenario():
         .config(tick_s=0.002, reference=True)
         .seed(11)
         .netperf(flows=3, seed=4)
-        .inject_fault(seconds=0.02)
         .workload("udp-cbr", flows=2)
+        .workload("nondeterminism", seconds=0.02)
         .faults(FaultPlan.of(LinkDown(0.01, 0)))
     )
 

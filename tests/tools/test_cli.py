@@ -106,37 +106,6 @@ def test_import_bgp(tmp_path):
     assert load_gml(str(out)).num_links == 3
 
 
-def test_emulate_is_a_deprecated_alias_for_run(tmp_path, capsys):
-    source = tmp_path / "ring.gml"
-    main(["generate", "ring", "--routers", "4", "--vns", "2", "-o", str(source)])
-    capsys.readouterr()
-    assert main([
-        "emulate", str(source), "--flows", "2", "--seconds", "1.0",
-    ]) == 0
-    captured = capsys.readouterr()
-    assert "deprecated" in captured.err
-    assert "repro-net run" in captured.err
-    import json
-
-    raw = json.loads(captured.out)  # delegates to `run`: RunReport JSON
-    assert raw["metrics"]["accuracy.packets_delivered"] > 0
-
-
-def test_emulate_forwards_mode_and_cores(tmp_path, capsys):
-    source = tmp_path / "ring.gml"
-    main(["generate", "ring", "--routers", "6", "--vns", "2", "-o", str(source)])
-    capsys.readouterr()
-    assert main([
-        "emulate", str(source), "--mode", "last-mile", "--cores", "2",
-        "--flows", "2", "--seconds", "1.0",
-    ]) == 0
-    import json
-
-    raw = json.loads(capsys.readouterr().out)
-    assert raw["config"]["num_cores"] == 2
-    assert raw["metrics"]["distill.pipes"] > 0
-
-
 def test_run_writes_run_report(tmp_path, capsys):
     source = tmp_path / "ring.gml"
     main(["generate", "ring", "--routers", "4", "--vns", "2", "-o", str(source)])
