@@ -126,9 +126,9 @@ def kernel_dispatch(
     is loop + heap + digest fold, none is TCP or pipe callbacks. This
     is the scenario where the batched kernel's dispatch-loop half of
     the seam is undiluted: ``dumbbell_netperf`` measures the same seam
-    through ~80% shared per-event callback work (see DESIGN.md §7 for
-    the decomposition), so its kernel ratio is Amdahl-compressed
-    toward 1. When ``kernel`` is not scalar, a scalar reference run of
+    through the per-event work both kernels share (DESIGN.md §7 gives
+    the measured per-layer split), so its kernel ratio is
+    Amdahl-compressed toward 1. When ``kernel`` is not scalar, a scalar reference run of
     the same workload is timed too and the ratio is recorded in
     ``extras["vs_scalar"]`` — the number the bench-smoke CI gates on.
     """

@@ -285,8 +285,16 @@ class FaultApplier:
         return snapshot
 
     def _set_link(self, link_id: int, params: dict) -> None:
-        """Update both the emulated pipes and the topology link (so
-        latency-weighted routing and offline metrics see the change)."""
+        """Update both the emulated pipes and the topology link.
+
+        Offline metrics see the topology write at once; routing sees it
+        only partly, because a parameter change does not invalidate
+        routes. A route resolved before the write keeps the weights of
+        the search that produced it until the next invalidation (a
+        link failure or recovery), and so does a later lookup that
+        resumes a search begun before the write. Only a search started
+        after the write, for a source first looked up since the last
+        invalidation, weighs the link anew."""
         self.emulation.set_link_params(link_id, **params)
         link = self.emulation.topology.links[link_id]
         if "latency_s" in params:

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.topology.graph import Link, Topology
 from repro.routing.shortest_path import (
     Hop,
     Route,
     RouteError,
+    Search,
     WeightSpec,
+    dense_graph,
     dijkstra,
     extract_route,
 )
@@ -81,36 +83,58 @@ class PrecomputedRouting(RoutingService):
 
 class CachedRouting(RoutingService):
     """The paper's hash-based alternative: routes for active flows are
-    computed on demand (one Dijkstra per new source, an O(n lg n)
-    operation) and cached. ``invalidate`` flushes the cache; the next
-    lookups recompute against the current topology."""
+    computed on demand and cached. Each source gets one resumable
+    :class:`~repro.routing.shortest_path.Search` (an O(n lg n)
+    Dijkstra at most) that runs only until the requested destination
+    is settled; a later destination resumes it.
+
+    Searches run on the topology's
+    :class:`~repro.routing.shortest_path.DenseGraph`, rebuilt when its
+    ``structure_version`` moves. A search reads the link weights as of
+    its start; searches started while the weights are unchanged share
+    one snapshot. ``invalidate`` drops every search and route and
+    rebuilds the dense graph; the next lookups search the current
+    topology."""
 
     def __init__(self, topology: Topology, weight: WeightSpec = "latency"):
         self._topology = topology
         self._weight = weight
-        self._prev: Dict[int, Dict[int, Hop]] = {}
+        self._weights: Optional[List[float]] = None
+        self._searches: Dict[int, Search] = {}
         self._routes: Dict[Tuple[int, int], Optional[Route]] = {}
         self.misses = 0
         self.hits = 0
 
     def route(self, src: int, dst: int) -> Optional[Route]:
-        """Cached lookup; a cold source costs one Dijkstra."""
+        """Cached lookup; a cold source starts one search."""
+        if src == dst:
+            return ()
         key = (src, dst)
         cached = self._routes.get(key, _SENTINEL)
         if cached is not _SENTINEL:
             self.hits += 1
             return cached
-        prev = self._prev.get(src)
-        if prev is None:
+        search = self._searches.get(src)
+        if search is None:
             self.misses += 1
-            _dist, prev = dijkstra(self._topology, src, self._weight)
-            self._prev[src] = prev
-        result = extract_route(prev, src, dst)
+            search = self._searches[src] = self._start(src)
+        target = search.graph.index.get(dst)
+        result = None if target is None else search.route(target)
         self._routes[key] = result
         return result
 
+    def _start(self, src: int) -> Search:
+        graph = dense_graph(self._topology)
+        weights = graph.weights(self._weight)
+        if weights == self._weights:
+            weights = self._weights
+        else:
+            self._weights = weights
+        return Search(graph, weights, graph.index[src])
+
     def invalidate(self) -> None:
-        self._prev.clear()
+        dense_graph(self._topology, rebuild=True)
+        self._searches.clear()
         self._routes.clear()
 
 

@@ -128,6 +128,9 @@ class Topology:
 
     Node and link ids are small integers assigned on insertion (or
     chosen by the caller for nodes, e.g. when parsing GML).
+    ``structure_version`` counts node and link insertions and removals,
+    so a cache of the graph's shape can tell when it is stale; link
+    attribute writes (``up``, ``latency_s``, ...) do not count.
     """
 
     def __init__(self, name: str = "topology"):
@@ -135,6 +138,7 @@ class Topology:
         self.nodes: Dict[int, Node] = {}
         self.links: Dict[int, Link] = {}
         self._adjacency: Dict[int, List[Link]] = {}
+        self.structure_version = 0
         self._next_node_id = 0
         self._next_link_id = 0
 
@@ -155,7 +159,17 @@ class Topology:
         self.nodes[node_id] = node
         self._adjacency[node_id] = []
         self._next_node_id = max(self._next_node_id, node_id + 1)
+        self.structure_version += 1
         return node
+
+    def remove_node(self, node_id: int) -> None:
+        """Remove an isolated node (one with no links)."""
+        if self._adjacency.get(node_id):
+            raise TopologyError(f"node {node_id} still has links")
+        if self.nodes.pop(node_id, None) is None:
+            raise TopologyError(f"no node {node_id}")
+        del self._adjacency[node_id]
+        self.structure_version += 1
 
     def add_link(
         self,
@@ -187,6 +201,7 @@ class Topology:
         self._adjacency[a].append(link)
         self._adjacency[b].append(link)
         self._next_link_id += 1
+        self.structure_version += 1
         return link
 
     def remove_link(self, link_id: int) -> None:
@@ -195,6 +210,7 @@ class Topology:
             raise TopologyError(f"no link {link_id}")
         self._adjacency[link.a].remove(link)
         self._adjacency[link.b].remove(link)
+        self.structure_version += 1
 
     # -- queries ------------------------------------------------------
 

@@ -67,6 +67,29 @@ def test_cached_routing_counts_hits_and_misses():
     assert routing.misses == 1
 
 
+def test_cached_route_to_self_starts_no_search():
+    topology = build_square()
+    routing = CachedRouting(topology)
+    assert routing.route(0, 0) == ()
+    assert routing.route(2, 2) == ()
+    assert routing.misses == 0
+    assert routing.hits == 0
+
+
+def test_cached_routing_sees_links_added_for_fresh_sources():
+    topology = build_square()
+    routing = CachedRouting(topology)
+    assert [hop.dst for hop in routing.route(0, 3)] == [1, 3]
+    shortcut = topology.add_link(2, 3, 1e6, 0.0001)
+    topology.add_link(0, 2, 1e6, 0.0001)
+    # Source 0's search predates the new links; source 2's does not.
+    assert [hop.dst for hop in routing.route(0, 2)] == [2]
+    assert routing.route(0, 2)[0].link is topology.link_between(0, 2)
+    assert routing.route(2, 3)[0].link is shortcut
+    routing.invalidate()
+    assert [hop.link.latency_s for hop in routing.route(0, 3)] == [0.0001] * 2
+
+
 def test_cached_and_precomputed_agree():
     topology = ring_topology(num_routers=6, vns_per_router=2)
     clients = [n.id for n in topology.clients()]

@@ -103,6 +103,45 @@ def test_remove_link():
     topology.validate()
 
 
+def test_remove_node_requires_isolation():
+    topology, a, _, _ = build_triangle()
+    with pytest.raises(TopologyError):
+        topology.remove_node(a.id)
+    loner = topology.add_node()
+    topology.remove_node(loner.id)
+    assert loner.id not in topology.nodes
+    with pytest.raises(TopologyError):
+        topology.remove_node(loner.id)
+    topology.validate()
+
+
+def test_structure_version_counts_shape_changes_only():
+    topology, a, b, _ = build_triangle()
+    version = topology.structure_version
+    link = topology.link_between(a.id, b.id)
+    link.up = False
+    link.latency_s = 0.5
+    assert topology.structure_version == version
+    topology.remove_link(link.id)
+    loner = topology.add_node()
+    topology.add_link(loner.id, a.id, 1e6, 0.001)
+    assert topology.structure_version == version + 3
+
+
+def test_adjacency_order_follows_link_order():
+    """Each node lists its links in ``links`` order, through insertions
+    and removals; the routing search's dense graph relies on it."""
+    topology, a, b, c = build_triangle()
+    extra = topology.add_link(b.id, a.id, 1e6, 0.001)
+    topology.remove_link(topology.link_between(a.id, b.id).id)
+    topology.add_link(c.id, a.id, 1e6, 0.001)
+    for node_id in topology.nodes:
+        assert topology.links_of(node_id) == [
+            link for link in topology.links.values() if node_id in (link.a, link.b)
+        ]
+    assert extra in topology.links_of(a.id)
+
+
 def test_connected_components():
     topology = Topology()
     for _ in range(4):
