@@ -74,12 +74,13 @@ def resolve_distill_mode(
 class ScenarioSpec:
     """A picklable, declarative snapshot of a :class:`Scenario`.
 
-    This is what crosses process boundaries for the multiprocess
-    backend: every worker calls :meth:`Scenario.from_spec` and
+    This is what crosses process and run boundaries for sweeps
+    (:mod:`repro.exp`) and checkpoint resume: :meth:`Scenario.from_spec`
     rebuilds the identical emulation (builds are deterministic — the
-    ``repro.check`` contract). Only declarative traffic survives the
-    round trip, which is why :meth:`Scenario.to_spec` rejects custom
-    traffic callables.
+    ``repro.check`` contract). Multiprocess workers do not need it;
+    they inherit the parent's built emulation through fork. Only
+    declarative traffic survives the round trip, which is why
+    :meth:`Scenario.to_spec` rejects custom traffic callables.
     """
 
     name: str
@@ -222,7 +223,7 @@ class Scenario:
         self._knobs: dict = {}
         self._reference = False
         self._seed = 0
-        # Observability wiring is parent-side runtime state: a worker
+        # Observability wiring is parent-side runtime state: a scenario
         # rebuilt from the spec attaches its own registry, so neither
         # field belongs in the ScenarioSpec round-trip.
         self._registry: Optional[MetricsRegistry] = None  # repro: allow-spec-drift
@@ -520,8 +521,9 @@ class Scenario:
         :class:`~repro.resilience.checkpoint.Checkpoint`) for
         ``--resume``: the run replays deterministically from t=0,
         *verifies* digests/event counts/RNG states at the checkpoint
-        barrier, then continues to ``until``. Like worker rebuilds,
-        the resumed scenario observes with the null registry."""
+        barrier, then continues to ``until``. Like every
+        :meth:`from_spec` rebuild, the resumed scenario observes with
+        the null registry."""
         from repro.resilience import Checkpoint, load_checkpoint
 
         if not isinstance(checkpoint, Checkpoint):
@@ -1064,8 +1066,8 @@ class Scenario:
 
         Raises :class:`ValueError` if any registered traffic callback
         is not declarative (i.e. not from :meth:`netperf` or
-        :meth:`workload`) — closures cannot be shipped to worker
-        processes reproducibly.
+        :meth:`workload`) — closures cannot be rebuilt in another
+        process or run reproducibly.
         """
         netperf: List[Tuple[int, Optional[int]]] = []
         traffic: List[Tuple[str, Tuple[Tuple[str, Any], ...]]] = []
@@ -1077,10 +1079,9 @@ class Scenario:
             params = getattr(setup, "_netperf_params", None)
             if params is None:
                 raise ValueError(
-                    "the multiprocess backend supports declarative "
-                    "traffic only (Scenario.netperf / "
-                    "Scenario.workload); custom traffic callables "
-                    "cannot cross process boundaries"
+                    "a ScenarioSpec carries declarative traffic only "
+                    "(Scenario.netperf / Scenario.workload); custom "
+                    "traffic callables cannot be rebuilt from a spec"
                 )
             netperf.append(params)
         return ScenarioSpec(
@@ -1106,9 +1107,8 @@ class Scenario:
     def from_spec(cls, spec: ScenarioSpec) -> "Scenario":
         """Reconstruct a fresh, unbuilt scenario from a spec.
 
-        Workers build with observability off — statistics travel back
-        as raw object state, and hot-path wall-clock timers would
-        only measure the worker's half of the barrier anyway.
+        The rebuilt scenario observes with the null registry (sweep
+        runs and resumes opt back in with :meth:`observe`).
         """
         scenario = cls(spec.topology, name=spec.name)
         scenario._mode = spec.mode

@@ -1,13 +1,13 @@
 """Spec-portability rules (PORT): what may cross a process boundary.
 
-The multiprocess backend and the resilience layer rebuild workers from
-two picklable currencies — :class:`~repro.api.ScenarioSpec` (the full
-scenario, for spawn/respawn) and
-:class:`~repro.engine.sync.DomainMessage` (cross-domain mail, for
-epoch injection). Anything that rides either channel but cannot be
-pickled — a lambda, a nested closure, a bound method — works under
-``fork`` by accident and dies under ``spawn`` or on the first worker
-respawn. These rules keep the currencies honest statically:
+Two picklable currencies cross process and run boundaries —
+:class:`~repro.api.ScenarioSpec` (the full scenario, for sweeps and
+checkpoint resume) and :class:`~repro.engine.sync.DomainMessage`
+(cross-domain mail, for epoch injection between multiprocess
+workers). Anything that rides either channel but cannot be pickled —
+a lambda, a nested closure, a bound method — fails the first time it
+is actually serialized. These rules keep the currencies honest
+statically:
 
 ========  ============================================================
 PORT001   A lambda or nested-function reference passed into a
@@ -22,7 +22,7 @@ PORT002   ``Process(target=...)`` whose target is a lambda, a nested
 PORT003   A class with a ``to_spec``/``from_spec`` pair assigns a
           persistent ``self._field`` in ``__init__`` that ``to_spec``
           never reads: the field silently fails to round-trip, so a
-          respawned worker rebuilds a *different* scenario. Runtime-
+          resumed or swept run rebuilds a *different* scenario. Runtime-
           only state carries ``# repro: allow-spec-drift`` with a
           why-comment.
 ========  ============================================================

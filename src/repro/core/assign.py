@@ -11,6 +11,7 @@ consecutive pipes on a route share a core.
 
 from __future__ import annotations
 
+import heapq
 import random
 from typing import Dict, List, Optional, Sequence, Set
 
@@ -105,7 +106,17 @@ def greedy_k_clusters(
     num_cores: int,
     rng: random.Random,
 ) -> Assignment:
-    """The paper's greedy k-clusters heuristic."""
+    """The paper's greedy k-clusters heuristic.
+
+    Round-robin over the clusters, each takes the first unassigned
+    link found by scanning its member nodes in ascending id order,
+    each node's links in adjacency order; a cluster with no such link
+    re-seeds on the smallest unassigned link id. Links are never
+    unassigned, so both scans only move forward: every cluster keeps a
+    min-heap of its member ids (exhausted nodes are popped for good)
+    and every node a cursor into its adjacency list, which makes the
+    whole assignment O((n + m) log n).
+    """
     if num_cores < 1:
         raise TopologyError("need at least one core")
     if num_cores == 1:
@@ -116,32 +127,46 @@ def greedy_k_clusters(
             f"{num_cores} cores but only {len(node_ids)} topology nodes"
         )
     seeds = rng.sample(node_ids, num_cores)
-    cluster_nodes: List[Set[int]] = [{seed} for seed in seeds]
+    members: List[Set[int]] = [{seed} for seed in seeds]
+    frontier: List[List[int]] = [[seed] for seed in seeds]
+    adjacency: Dict[int, List[Link]] = {}
+    cursor: Dict[int, int] = {}
     link_to_core: Dict[int, int] = {}
-    unassigned: Set[int] = set(topology.links)
+    link_ids = sorted(topology.links)
+    next_seed = 0  # index into link_ids of the smallest unassigned id
 
-    def adjacent_unassigned(cluster: Set[int]) -> Optional[Link]:
-        # Deterministic scan order for reproducibility.
-        for node_id in sorted(cluster):
-            for link in topology.links_of(node_id):
-                if link.id in unassigned:
-                    return link
+    def adjacent_unassigned(heap: List[int]) -> Optional[Link]:
+        while heap:
+            node_id = heap[0]
+            links = adjacency.get(node_id)
+            if links is None:
+                links = adjacency[node_id] = topology.links_of(node_id)
+            position = cursor.get(node_id, 0)
+            while position < len(links) and links[position].id in link_to_core:
+                position += 1
+            cursor[node_id] = position
+            if position < len(links):
+                return links[position]
+            heapq.heappop(heap)
         return None
 
-    while unassigned:
+    while len(link_to_core) < len(link_ids):
         for core_index in range(num_cores):
-            if not unassigned:
+            if len(link_to_core) == len(link_ids):
                 break
-            link = adjacent_unassigned(cluster_nodes[core_index])
+            link = adjacent_unassigned(frontier[core_index])
             if link is None:
                 # This cluster's component is exhausted: re-seed it on
                 # a fresh link so every cluster still takes one link
                 # per round (keeps emulation load balanced).
-                link = topology.links[min(unassigned)]
+                while link_ids[next_seed] in link_to_core:
+                    next_seed += 1
+                link = topology.links[link_ids[next_seed]]
             link_to_core[link.id] = core_index
-            unassigned.discard(link.id)
-            cluster_nodes[core_index].add(link.a)
-            cluster_nodes[core_index].add(link.b)
+            for node_id in (link.a, link.b):
+                if node_id not in members[core_index]:
+                    members[core_index].add(node_id)
+                    heapq.heappush(frontier[core_index], node_id)
     return Assignment(num_cores, link_to_core, topology=topology)
 
 

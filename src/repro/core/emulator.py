@@ -673,6 +673,18 @@ class Emulation:
                 "sched.batch_size", core=core.index
             )
 
+    def disarm_timing_hooks(self) -> None:
+        """Undo :meth:`_install_timing_hooks` and fall back to the null
+        registry — what a multiprocess worker does with the emulation
+        it inherits, whose statistics travel back as raw object state."""
+        self.obs = NULL_REGISTRY
+        self._route_timer = None
+        for pipe in self.pipes.values():
+            pipe._timer = None
+        for core in self.cores:
+            core.scheduler.collect_timer = None
+            core.scheduler.batch_hist = None
+
     # ------------------------------------------------------------------
     # Fabric interface
     # ------------------------------------------------------------------

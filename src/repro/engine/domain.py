@@ -175,6 +175,13 @@ class EventDomain:
             # or an optimized kernel is running: fold inline.
             self._digest_hook = None
 
+    def clear_observers(self) -> None:
+        """Drop the :attr:`on_dispatch` hook and the streaming digest,
+        so subsequent runs dispatch unobserved."""
+        self.on_dispatch = None
+        self._digest = None
+        self._digest_hook = None
+
     def digest_hexdigest(self) -> Optional[str]:
         """Hex digest of the events dispatched since
         :meth:`enable_digest`, or None when never armed."""

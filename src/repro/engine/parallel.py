@@ -1,13 +1,13 @@
 """Multiprocess executor: one worker per domain group, lockstep epochs.
 
 The serial :class:`~repro.engine.sync.PartitionedSimulator` proves the
-partitioning correct; this module makes it parallel. Each worker
-process rebuilds the *entire* emulation from a picklable
-:class:`~repro.api.ScenarioSpec` (build is deterministic per the
-repro.check contract, so every worker sees an identical object graph)
-and then runs only the event domains it owns. The parent never runs
-events: it is the barrier — it routes cross-domain messages, computes
-each epoch window, and broadcasts it.
+partitioning correct; this module makes it parallel. The parent builds
+the emulation once and forks one worker per domain group; each worker
+inherits the *entire* built emulation (so every worker sees an
+identical object graph, without rebuilding it) and runs only the
+event domains it owns. The parent never runs events: it is the
+barrier — it routes cross-domain messages, computes each epoch
+window, and broadcasts it.
 
 Determinism, regardless of worker count:
 
@@ -35,15 +35,17 @@ whole mail slice (``None`` when empty), and each reply carries one
 frame holding the worker's whole outbox. Frames are opaque to the
 supervisor, so crash-replay resends byte-identical commands without
 re-encoding, and the single-frame shape is the groundwork for
-shared-memory mailboxes later.
+shared-memory mailboxes later. Commands and replies themselves are
+one ``pickle.dumps`` per ``send_bytes`` call on both ends.
 
 Execution is supervised (:mod:`repro.resilience`): every worker runs a
-heartbeat thread, replies carry streaming per-domain digests, and the
-parent drives the epoch barrier through a
-:class:`~repro.resilience.supervisor.WorkerSupervisor` that detects
-crashes and hangs, respawns dead workers from the spec, and replays
-them to the last completed barrier with a digest check — so a SIGKILL
-mid-run yields the same composed digest as an undisturbed run.
+heartbeat thread, replies carry per-domain digests folded inline by
+the worker's event domains, and the parent drives the epoch barrier
+through a :class:`~repro.resilience.supervisor.WorkerSupervisor` that
+detects crashes and hangs, respawns dead workers by forking the
+untouched parent again, and replays them to the last completed
+barrier with a digest check — so a SIGKILL mid-run yields the same
+composed digest as an undisturbed run.
 Budget guards and checkpoint callbacks observe the loop at epoch
 boundaries and never alter the epoch structure.
 
@@ -160,24 +162,39 @@ def unpack_frame(frame: Optional[bytes]) -> List[DomainMessage]:
 # Worker side
 # ----------------------------------------------------------------------
 
-def _build_from_spec(spec):
-    """Rebuild the scenario in this process (identical by determinism
-    of the build path) and return (scenario, partitioned sim,
-    emulation)."""
-    from repro.api import Scenario
+def _adopt_parent(scenario, owned: Sequence[int], digest: bool):
+    """Take over the emulation this worker inherited through fork and
+    return ``(sim, emulation)``.
 
-    scenario = Scenario.from_spec(spec)
-    emulation = scenario.build()
+    The parent built it and never runs it, so every worker (and every
+    respawned one) starts from the identical object graph. Inherited
+    observers are dropped first: wall-clock timers would only measure
+    the worker's half of the barrier, and a parent-side dispatch hook
+    (e.g. an attached sanitizer) has no reader here. With ``digest``
+    each owned domain folds its event stream inline.
+    """
     sim = scenario.sim
-    if getattr(sim, "domains", None) is None or sim.num_domains < 2:
-        raise ParallelExecutionError(
-            "spec did not produce a partitioned simulator; the "
-            "multiprocess backend needs num_domains >= 2"
-        )
-    return scenario, sim, emulation
+    emulation = scenario.emulation
+    emulation.disarm_timing_hooks()
+    for domain in sim.domains:
+        domain.clear_observers()
+    if digest:
+        for d in owned:
+            sim.domains[d].enable_digest()
+    return sim, emulation
 
 
-def _collect_worker_stats(emulation, sim, owned: Sequence[int], probes) -> dict:
+def _domain_digests(sim, owned: Sequence[int], digest: bool) -> dict:
+    """``{domain: (hexdigest, events)}`` for the owned domains."""
+    if not digest:
+        return {}
+    return {
+        d: (sim.domains[d].digest_hexdigest(), sim.domains[d].events_dispatched)
+        for d in owned
+    }
+
+
+def _collect_worker_stats(emulation, sim, owned: Sequence[int], digest: bool) -> dict:
     """Everything the parent needs to reconstruct run statistics."""
     owned_set = set(owned)
     cores: Dict[int, Dict[str, Any]] = {}
@@ -255,9 +272,7 @@ def _collect_worker_stats(emulation, sim, owned: Sequence[int], probes) -> dict:
             "tunnels": monitor.tunnels,
             "error_samples": list(monitor.error_samples),
         },
-        "digests": {
-            d: (probe.hexdigest(), probe.count) for d, probe in probes.items()
-        },
+        "digests": _domain_digests(sim, owned, digest),
         # Every worker applies the whole fault timeline identically;
         # the parent adopts the view of the worker owning domain 0.
         "faults": (
@@ -270,31 +285,35 @@ def _collect_worker_stats(emulation, sim, owned: Sequence[int], probes) -> dict:
 
 def _worker_main(
     conn,
-    spec,
+    scenario,
     owned: List[int],
     worker_index: int = 0,
     heartbeat_interval_s: float = 0.5,
-    probe: bool = True,
+    digest: bool = True,
 ) -> None:
-    """One worker: rebuild, then serve epoch commands until 'finish'.
+    """One worker: adopt the inherited emulation, then serve epoch
+    commands until 'finish'.
 
-    A daemon heartbeat thread shares the reply pipe (under a send
-    lock) so the supervisor can tell a dead or stopped process from a
-    livelocked one. With ``probe`` (the default), digest probes are
-    attached: every ``done`` reply carries ``{domain: (hexdigest,
-    count)}``, which is what makes crash recovery *verifiable* — the
-    supervisor replays a respawned worker and compares these digests
-    against the pre-crash ones. The single-worker fast path disables
-    probing for pure timing runs (recovery there is a from-scratch
-    deterministic rerun, so there is no replay to verify, and the
-    serial leg it is benchmarked against runs unprobed too).
+    Every message is one pickle per ``send_bytes``/``recv_bytes``
+    frame. A daemon heartbeat thread shares the reply pipe (under a
+    send lock) so the supervisor can tell a dead or stopped process
+    from a livelocked one. With ``digest`` (the default) the owned
+    domains fold their event streams inline and every ``done`` reply
+    carries ``{domain: (hexdigest, count)}``, which is what makes crash
+    recovery *verifiable* — the supervisor replays a respawned worker
+    and compares these digests against the pre-crash ones. The
+    single-worker fast path disables digests for pure timing runs
+    (recovery there is a from-scratch deterministic rerun, so there is
+    no replay to verify, and the serial leg it is benchmarked against
+    runs undigested too).
     """
     send_lock = threading.Lock()
     stop_beating = threading.Event()
 
     def _send(payload) -> None:
+        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
         with send_lock:
-            conn.send(payload)
+            conn.send_bytes(data)
 
     def _beat() -> None:
         while not stop_beating.wait(heartbeat_interval_s):
@@ -309,26 +328,18 @@ def _worker_main(
         ).start()
     epoch_index = 0
     try:
-        _scenario, sim, emulation = _build_from_spec(spec)
-        probes = {}
-        if probe:
-            from repro.check.sanitize import DomainProbe
-
-            probes = {
-                d: DomainProbe(d, keep_records=False).attach(sim.domains[d])
-                for d in owned
-            }
-        _send(
-            ("ready", {d: sim.domains[d].next_event_time() for d in owned})
-        )
+        sim, emulation = _adopt_parent(scenario, owned, digest)
+        domains = sim.domains
+        router = sim.router
+        _send(("ready", {d: domains[d].next_event_time() for d in owned}))
         while True:
-            command = conn.recv()
+            command = pickle.loads(conn.recv_bytes())
             op = command[0]
             if op == "epoch":
                 _, windows, frame = command
                 if frame is not None:
-                    sim.router.inject(
-                        sim.domains,
+                    router.inject(
+                        domains,
                         [
                             decode_message(m, emulation)
                             for m in unpack_frame(frame)
@@ -343,19 +354,14 @@ def _worker_main(
                 for d in owned:
                     window = windows[d]
                     if window is not None:
-                        sim.domains[d].run_window(window[0], window[1])
-                outbox = [
-                    encode_message(m) for m in sim.router.take_pending()
-                ]
+                        domains[d].run_window(window[0], window[1])
+                outbox = [encode_message(m) for m in router.take_pending()]
                 _send(
                     (
                         "done",
-                        {d: sim.domains[d].next_event_time() for d in owned},
+                        {d: domains[d].next_event_time() for d in owned},
                         pack_frame(outbox),
-                        {
-                            d: (probes[d].hexdigest(), probes[d].count)
-                            for d in probes
-                        },
+                        _domain_digests(sim, owned, digest),
                     )
                 )
                 epoch_index += 1
@@ -370,12 +376,9 @@ def _worker_main(
                 _send(
                     (
                         "done",
-                        {d: sim.domains[d].next_event_time() for d in owned},
-                        (sim.epochs, sim.router.messages_routed),
-                        {
-                            d: (probes[d].hexdigest(), probes[d].count)
-                            for d in probes
-                        },
+                        {d: domains[d].next_event_time() for d in owned},
+                        (sim.epochs, router.messages_routed),
+                        _domain_digests(sim, owned, digest),
                     )
                 )
                 epoch_index += 1
@@ -385,7 +388,7 @@ def _worker_main(
                     sim.fast_forward(until, owned)
                 stop_beating.set()
                 _send(
-                    ("result", _collect_worker_stats(emulation, sim, owned, probes))
+                    ("result", _collect_worker_stats(emulation, sim, owned, digest))
                 )
                 conn.close()
                 return
@@ -430,8 +433,8 @@ class MultiprocessResult:
         #: state the parent cannot patch (TCP stacks, edge CPUs).
         self.metric_overlay: Dict[str, Any] = {}
         self.wall_time_s = 0.0
-        #: Worker spawn + per-process scenario rebuild time, kept out
-        #: of ``wall_time_s`` so events/s compares run phases across
+        #: Worker fork + ready handshake time, kept out of
+        #: ``wall_time_s`` so events/s compares run phases across
         #: backends (the serial leg's build cost is outside its wall
         #: clock too).
         self.spawn_s = 0.0
@@ -454,15 +457,6 @@ class MultiprocessResult:
         from repro.check.sanitize import compose_domain_digests
 
         return compose_domain_digests(self.domain_digests)
-
-
-def _mp_context():
-    """fork where available (cheap, no spec pickling through argv);
-    spawn otherwise. Both paths keep the spec picklable anyway."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
 
 
 def run_multiprocess(
@@ -491,12 +485,21 @@ def run_multiprocess(
     digests. When a single worker owns every domain (and no chaos,
     budget, or epoch hook is in play) the worker runs the whole epoch
     loop in-process — one command, zero per-epoch IPC. ``sanitize``
-    is kept for API compatibility: digests are always streamed now
-    (supervision needs them for verified recovery).
+    only matters there (it makes the fast path fold digests); every
+    other run streams digests because supervision needs them for
+    verified recovery.
 
-    Supervision: a crashed or hung worker is respawned from the spec
-    and deterministically replayed to the last completed epoch barrier
-    (digest-verified) per ``policy``; when retries run out a
+    Workers are forked from this process and run the parent's built
+    emulation as inherited, so anything installed on it after
+    :meth:`~repro.api.Scenario.build` (a fault plan, custom traffic)
+    runs in the workers too. The parent must not have run: a scenario
+    that already ran or absorbed a previous run's statistics raises
+    :class:`ParallelExecutionError`.
+
+    Supervision: a crashed or hung worker is respawned by forking the
+    untouched parent again and deterministically replayed to the last
+    completed epoch barrier (digest-verified) per ``policy``; when
+    retries run out a
     :class:`~repro.resilience.supervisor.SupervisionEscalation`
     propagates so the caller can degrade to the serial backend.
     ``budget`` is checked at every epoch barrier; exhaustion ends the
@@ -514,7 +517,14 @@ def run_multiprocess(
             "multiprocess backend needs a partitioned scenario with "
             ">= 2 domains (set backend/num_domains before build)"
         )
-    spec = scenario.to_spec()
+    if sim.epochs or sim.events_dispatched or sim.now > 0.0:
+        # Workers fork from the parent's emulation, so it must be the
+        # never-run build: a parent that ran, or already absorbed a
+        # previous run's merged statistics, would be counted twice.
+        raise ParallelExecutionError(
+            "scenario has already run (or holds merged results); the "
+            "multiprocess backend needs a freshly built scenario"
+        )
     num_domains = sim.num_domains
     if workers <= 0:
         # Default pool size: one worker per domain, capped at the
@@ -532,28 +542,29 @@ def run_multiprocess(
 
     result = MultiprocessResult()
     result.workers = num_workers
-    ctx = _mp_context()
+    ctx = multiprocessing.get_context("fork")
 
     # Single-worker fast path: one worker owns every domain and runs
-    # the whole epoch loop in-process (no per-epoch IPC). Digest probes
-    # cost ~25% of run time, so the fast path attaches them only when
-    # the caller asked to sanitize — matching the serial timing leg,
-    # which also runs unprobed.
+    # the whole epoch loop in-process (no per-epoch IPC). It folds
+    # digests only when the caller asked to sanitize — matching the
+    # serial timing leg, which also runs undigested.
     fast = (
         num_workers == 1
         and chaos_kill is None
         and on_epoch is None
         and budget is None
     )
-    probe = (not fast) or sanitize
+    digest = (not fast) or sanitize
 
     def spawn(index: int):
+        # Forked from this (never-run) parent, so a respawned worker
+        # starts from the same state as the original one did.
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
             target=_worker_main,
             args=(
-                child_conn, spec, owned[index], index,
-                heartbeat_interval_s, probe,
+                child_conn, scenario, owned[index], index,
+                heartbeat_interval_s, digest,
             ),
             daemon=True,
         )
@@ -575,9 +586,9 @@ def run_multiprocess(
     t0 = perf_counter()  # repro: allow-wallclock
     try:
         next_times: Dict[int, float] = supervisor.start()
-        # Workers are up and rebuilt; everything before this instant is
-        # spawn/build cost, reported separately so wall_time_s measures
-        # the run phase — the same phase the serial wall clock covers.
+        # Workers are up; everything before this instant is spawn
+        # cost, reported separately so wall_time_s measures the run
+        # phase — the same phase the serial wall clock covers.
         result.spawn_s = perf_counter() - t0  # repro: allow-wallclock
         t0 = perf_counter()  # repro: allow-wallclock
         if fast:

@@ -7,7 +7,7 @@ which services will fail" (paper §4.3); this package makes sure the
 * :class:`~repro.resilience.supervisor.WorkerSupervisor` — heartbeat
   monitoring, typed failure classification (crash / hang / desync),
   and digest-verified deterministic recovery of multiprocess epoch
-  workers by rebuild-and-replay from the picklable ``ScenarioSpec``;
+  workers by fork-and-replay from the parent's never-run emulation;
 * :class:`~repro.resilience.policy.RetryPolicy` and graceful
   degradation from the multiprocess backend to serial partitioned
   execution (identical digests by construction);

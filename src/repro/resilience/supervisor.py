@@ -1,24 +1,28 @@
 """WorkerSupervisor: heartbeats, failure typing, deterministic recovery.
 
 The multiprocess backend (:mod:`repro.engine.parallel`) is a lockstep
-epoch barrier: the parent broadcasts ``("epoch", horizon, inclusive,
-messages)`` commands and every worker must answer with ``("done",
-next_times, outbox, digests)``. That protocol makes supervision
-simple — a worker is healthy iff it answers the current command within
-the epoch timeout — and makes recovery *provably* correct:
+epoch barrier: the parent broadcasts ``("epoch", windows, frame)``
+commands and every worker must answer with ``("done", next_times,
+outbox, digests)``. That protocol makes supervision simple — a worker
+is healthy iff it answers the current command within the epoch
+timeout — and makes recovery *provably* correct:
 
-* builds are deterministic (the ``repro.check`` contract), so a
-  respawned worker rebuilt from the same picklable ``ScenarioSpec`` is
-  an identical object graph;
+* every worker, respawned ones included, is forked from the same
+  parent, whose built emulation never runs, so a respawned worker
+  starts from the identical object graph the original one did;
 * the parent already stores, per epoch, exactly the inputs a worker
   consumed (the epoch window plus that worker's cross-domain message
   slice) because *it* produced them; replaying that history drives the
-  rebuilt worker through the same event stream event-for-event;
+  respawned worker through the same event stream event-for-event;
 * every ``done`` reply carries streaming per-domain digests, so after
-  replay the supervisor compares the rebuilt worker's digests against
-  the ones recorded before the crash. A mismatch is a
+  replay the supervisor compares the respawned worker's digests
+  against the ones recorded before the crash. A mismatch is a
   :class:`WorkerDesync` — recovery refuses to continue from a state it
   cannot prove equal to the pre-crash one.
+
+On the wire every command and reply is one pickle per
+``send_bytes``/``recv_bytes`` frame, and the parent waits on each
+worker through a ``select.poll`` object registered once at launch.
 
 Failures are typed: :class:`WorkerCrash` (process died / pipe broke /
 worker reported a traceback), :class:`WorkerHang` (alive but silent
@@ -36,7 +40,10 @@ scope on purpose — supervision timing never influences virtual time.
 
 from __future__ import annotations
 
+import math
 import os
+import pickle
+import select
 import signal
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -104,7 +111,7 @@ class WorkerDesync(WorkerFailure):
     """Replay after recovery produced different per-domain digests.
 
     This is the one failure recovery must *not* paper over: it means
-    the rebuilt worker's event stream diverged from the pre-crash one,
+    the respawned worker's event stream diverged from the pre-crash one,
     so continuing would silently corrupt the run's determinism claim.
     """
 
@@ -131,6 +138,7 @@ class WorkerHandle:
         "index",
         "domains",
         "conn",
+        "poller",
         "proc",
         "completed",
         "last_digests",
@@ -141,6 +149,8 @@ class WorkerHandle:
         self.index = index
         self.domains = list(domains)
         self.conn = None
+        #: ``select.poll`` object watching ``conn`` for replies.
+        self.poller = None
         self.proc = None
         #: Epochs this worker has completed (answered "done" for).
         self.completed = 0
@@ -159,6 +169,8 @@ class WorkerSupervisor:
 
     ``spawn(index)`` must start worker ``index`` and return
     ``(connection, process)``; the supervisor owns both afterwards.
+    The connection needs ``fileno``, ``send_bytes``, ``recv_bytes``
+    and ``close`` (a :class:`multiprocessing.connection.Connection`).
     """
 
     def __init__(
@@ -309,6 +321,8 @@ class WorkerSupervisor:
 
     def _launch(self, handle: WorkerHandle) -> None:
         handle.conn, handle.proc = self._spawn(handle.index)
+        handle.poller = select.poll()
+        handle.poller.register(handle.conn.fileno(), select.POLLIN)
 
     def _ready(self, handle: WorkerHandle) -> None:
         reply = self._recv(handle)
@@ -323,7 +337,9 @@ class WorkerSupervisor:
 
     def _send(self, handle: WorkerHandle, command) -> None:
         try:
-            handle.conn.send(command)
+            handle.conn.send_bytes(
+                pickle.dumps(command, pickle.HIGHEST_PROTOCOL)
+            )
         except (OSError, ValueError) as exc:
             raise WorkerCrash(
                 handle.index,
@@ -371,9 +387,11 @@ class WorkerSupervisor:
                         f"no reply within {timeout_s:g}s; {liveness}"
                     ),
                 )
-            window = min(self.heartbeat_interval_s, remaining)
+            window_ms = math.ceil(
+                min(self.heartbeat_interval_s, remaining) * 1000.0
+            )
             try:
-                if not handle.conn.poll(window):
+                if not handle.poller.poll(window_ms):
                     self.heartbeats_missed += 1
                     if handle.proc is not None and not handle.proc.is_alive():
                         raise WorkerCrash(
@@ -386,7 +404,7 @@ class WorkerSupervisor:
                             ),
                         )
                     continue
-                reply = handle.conn.recv()
+                reply = pickle.loads(handle.conn.recv_bytes())
             except (EOFError, OSError) as exc:
                 raise WorkerCrash(
                     handle.index,
@@ -453,7 +471,7 @@ class WorkerSupervisor:
         self._ready(handle)
 
     def _replay(self, handle: WorkerHandle) -> None:
-        """Drive a freshly rebuilt worker back to the last completed
+        """Drive a freshly respawned worker back to the last completed
         epoch barrier, then digest-verify it against pre-crash state.
 
         Replayed outboxes are discarded — the parent routed them the
@@ -491,7 +509,7 @@ class WorkerSupervisor:
                 handle.completed - 1,
                 detail=(
                     "replay digests diverged for domain(s) "
-                    f"{bad} after rebuild — refusing to resume from an "
+                    f"{bad} after respawn — refusing to resume from an "
                     "unverifiable state"
                 ),
             )
@@ -503,6 +521,7 @@ class WorkerSupervisor:
             except OSError:  # best-effort close
                 pass
             handle.conn = None
+            handle.poller = None
         proc = handle.proc
         if proc is None:
             return

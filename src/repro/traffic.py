@@ -1,8 +1,8 @@
 """Declarative, spec-portable traffic workloads.
 
-The multiprocess backend and the :mod:`repro.exp` sweep runner both
-rebuild scenarios from a picklable :class:`~repro.api.ScenarioSpec`
-in another process, so traffic must travel as *names plus parameters*,
+The :mod:`repro.exp` sweep runner and checkpoint resume rebuild
+scenarios from a picklable :class:`~repro.api.ScenarioSpec`, often in
+another process, so traffic must travel as *names plus parameters*,
 not closures. This registry is the sanctioned catalogue: each entry is
 a factory ``factory(emulation, **params) -> handle`` registered under
 a stable name, installed on a scenario with
@@ -413,17 +413,20 @@ class _AcdcHandle:
 def nondeterminism_traffic(emulation, seconds: float = 0.01):
     """Deliberately break determinism for ``seconds`` of virtual time.
 
-    Schedules a self-perpetuating tick whose period comes from an
-    *unseeded* RNG, so two same-seed runs dispatch different event
-    streams. The ticks land on the emulation's front-door clock
-    (domain 0 for a partitioned simulator), so on the multiprocess
-    backend the divergence happens *inside a worker* and must be
-    caught by the composed per-domain digests."""
+    Schedules a self-perpetuating tick whose period comes from the
+    operating system's entropy source, so two same-seed runs dispatch
+    different event streams — and so do a multiprocess worker and its
+    respawned replay, which fork from the same parent and would
+    inherit any in-process RNG state. The ticks land on the
+    emulation's front-door clock (domain 0 for a partitioned
+    simulator), so on the multiprocess backend the divergence happens
+    *inside a worker* and must be caught by the composed per-domain
+    digests."""
     import random as _random
 
     if seconds <= 0:
         raise ValueError(f"fault duration must be > 0, got {seconds}")
-    rng = _random.Random()  # repro: allow-rng (deliberate fault)
+    rng = _random.SystemRandom()
     sim = emulation.sim
 
     def tick() -> None:

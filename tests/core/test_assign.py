@@ -211,3 +211,104 @@ def test_property_every_link_assigned_exactly_once(seed, cores):
     assignment = greedy_k_clusters(topology, cores, random.Random(seed))
     assert sorted(assignment.link_to_core) == sorted(topology.links)
     assert sum(assignment.load_balance()) == topology.num_links
+
+
+def _reference_greedy(topology, num_cores, rng):
+    """The original quadratic scan, kept as the differential oracle:
+    every turn rescans the cluster's members in ascending id order and
+    each member's links in adjacency order; an exhausted cluster
+    re-seeds on the smallest unassigned link id."""
+    seeds = rng.sample(sorted(topology.nodes), num_cores)
+    cluster_nodes = [{seed} for seed in seeds]
+    link_to_core = {}
+    unassigned = set(topology.links)
+
+    def adjacent_unassigned(cluster):
+        for node_id in sorted(cluster):
+            for link in topology.links_of(node_id):
+                if link.id in unassigned:
+                    return link
+        return None
+
+    while unassigned:
+        for core_index in range(num_cores):
+            if not unassigned:
+                break
+            link = adjacent_unassigned(cluster_nodes[core_index])
+            if link is None:
+                link = topology.links[min(unassigned)]
+            link_to_core[link.id] = core_index
+            unassigned.discard(link.id)
+            cluster_nodes[core_index].add(link.a)
+            cluster_nodes[core_index].add(link.b)
+    return link_to_core
+
+
+@st.composite
+def _multigraphs(draw):
+    """Multigraphs with gapped, out-of-order node ids, parallel links,
+    several components, isolated nodes, and gapped link ids (removed
+    links)."""
+    from repro.topology import Topology
+
+    ids = draw(
+        st.lists(st.integers(0, 60), min_size=2, max_size=14, unique=True)
+    )
+    topology = Topology("generated")
+    for node_id in ids:
+        topology.add_node(node_id=node_id)
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(
+                lambda pair: pair[0] != pair[1]
+            ),
+            max_size=30,
+        )
+    )
+    for a, b in pairs:
+        topology.add_link(a, b, bandwidth_bps=1e6, latency_s=1e-3)
+    removed = draw(st.lists(st.sampled_from(sorted(topology.links) or [0])))
+    for link_id in set(removed):
+        if link_id in topology.links:
+            topology.remove_link(link_id)
+    return topology
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    topology=_multigraphs(),
+    cores=st.integers(2, 8),
+    seed=st.integers(0, 2**16),
+)
+def test_greedy_matches_the_reference_scan(topology, cores, seed):
+    if cores > topology.num_nodes:
+        with pytest.raises(TopologyError, match="cores but only"):
+            greedy_k_clusters(topology, cores, random.Random(seed))
+        return
+    expected = _reference_greedy(topology, cores, random.Random(seed))
+    try:
+        Assignment(cores, expected, topology=topology)
+    except TopologyError:
+        # Fewer links than cores: both sides leave a core empty, which
+        # Assignment refuses.
+        with pytest.raises(TopologyError, match="own no links"):
+            greedy_k_clusters(topology, cores, random.Random(seed))
+        return
+    actual = greedy_k_clusters(topology, cores, random.Random(seed))
+    assert actual.link_to_core == expected
+
+
+def test_greedy_matches_the_reference_scan_on_transit_stub():
+    spec = TransitStubSpec(
+        transit_domains=2,
+        transit_nodes_per_domain=3,
+        stub_domains_per_transit_node=2,
+        stub_nodes_per_domain=3,
+        clients_per_stub_node=2,
+    )
+    topology = transit_stub_topology(spec, random.Random(1))
+    for seed in range(3):
+        for cores in (2, 3, 4, 8):
+            expected = _reference_greedy(topology, cores, random.Random(seed))
+            actual = greedy_k_clusters(topology, cores, random.Random(seed))
+            assert actual.link_to_core == expected

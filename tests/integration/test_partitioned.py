@@ -188,6 +188,63 @@ class TestMultiprocess:
         assert result.composed_digest == serial_digest
         assert result.events_dispatched == serial_events
 
+    def test_fault_plan_installed_after_build_reaches_the_workers(self):
+        """Workers run the parent's built emulation as inherited, so a
+        plan installed after build() applies there exactly as it does
+        serially (a rebuild from the spec used to drop it)."""
+        from repro.engine.parallel import run_multiprocess
+        from repro.faults import FaultPlan, LinkDown, LinkUp
+
+        def churned(backend, workers=None):
+            scenario = _ring_scenario(backend, workers=workers)
+            emulation = scenario.build()
+            link = min(emulation.topology.links)
+            emulation.install_fault_plan(
+                FaultPlan.of(LinkDown(0.05, link), LinkUp(0.15, link))
+            )
+            return scenario
+
+        serial = churned("serial")
+        serial_digest, serial_events = _digest(serial, until=0.2)
+        scenario = churned("multiprocess")
+        result = run_multiprocess(scenario, until=0.2, workers=2)
+        assert result.composed_digest == serial_digest
+        assert result.events_dispatched == serial_events
+        counters = scenario.emulation.fault_applier.counters()
+        assert counters == serial.emulation.fault_applier.counters()
+        assert counters["applied"] == 2
+
+    def test_second_run_of_a_multiprocess_scenario_is_refused(self):
+        """The parent holds the merged statistics after a run; forking
+        it again would count the first run twice."""
+        from repro.engine.parallel import ParallelExecutionError
+
+        scenario = _ring_scenario("multiprocess", workers=2)
+        scenario.run(until=UNTIL)
+        delivered = scenario.emulation.monitor.packets_delivered
+        with pytest.raises(ParallelExecutionError, match="already run"):
+            scenario.run(until=UNTIL)
+        assert scenario.emulation.monitor.packets_delivered == delivered
+
+    def test_custom_traffic_runs_on_inherited_workers(self):
+        """A traffic closure cannot enter a ScenarioSpec, but workers
+        fork from the built parent, so it runs there unchanged."""
+        from repro.apps.netperf import TcpStream
+        from repro.engine.parallel import run_multiprocess
+
+        def with_closure(backend):
+            scenario = _ring_scenario(backend)
+            scenario.traffic(lambda emulation: TcpStream(emulation, 0, 9))
+            scenario.build()
+            return scenario
+
+        serial_digest, serial_events = _digest(with_closure("serial"))
+        result = run_multiprocess(
+            with_closure("multiprocess"), until=UNTIL, workers=2
+        )
+        assert result.composed_digest == serial_digest
+        assert result.events_dispatched == serial_events
+
     def test_custom_traffic_rejected(self):
         scenario = _ring_scenario("multiprocess")
         scenario.traffic(lambda emulation: None)

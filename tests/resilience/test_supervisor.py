@@ -7,6 +7,9 @@ recovery paths over real multiprocess workers live in
 ``test_scenario_resilience.py``.
 """
 
+import os
+import pickle
+
 import pytest
 
 from repro.resilience import (
@@ -20,29 +23,45 @@ from repro.resilience import (
 
 
 class FakeConn:
-    """Scripted pipe end: yields queued replies, EOFs when empty."""
+    """Scripted pipe end: yields queued replies, EOFs when empty.
+
+    The supervisor waits on ``fileno()`` with ``select.poll``, so the
+    fake owns a real OS pipe holding one readiness byte per scripted
+    reply: poll sees exactly as many pending messages as the script
+    has left. Replies and commands cross as pickled frames, as on a
+    real worker connection.
+    """
 
     def __init__(self, replies=()):
         self.replies = list(replies)
         self.sent = []
         self.closed = False
+        self._read_fd, self._write_fd = os.pipe()
+        os.write(self._write_fd, b"x" * len(self.replies))
 
-    def poll(self, timeout=None):
-        return bool(self.replies)
+    def fileno(self):
+        return self._read_fd
 
-    def recv(self):
+    def recv_bytes(self):
         if not self.replies:
             raise EOFError("script exhausted")
+        os.read(self._read_fd, 1)
         item = self.replies.pop(0)
         if isinstance(item, BaseException):
             raise item
-        return item
+        return pickle.dumps(item)
 
-    def send(self, command):
-        self.sent.append(command)
+    def send_bytes(self, data):
+        self.sent.append(pickle.loads(data))
 
     def close(self):
+        if not self.closed:
+            os.close(self._read_fd)
+            os.close(self._write_fd)
         self.closed = True
+
+    def __del__(self):
+        self.close()
 
 
 class FakeProc:
@@ -79,10 +98,17 @@ def make_supervisor(spawn, **kwargs):
 # Failure classification in _recv
 # ----------------------------------------------------------------------
 
-def test_silent_live_worker_is_a_hang_with_missed_heartbeats():
-    supervisor = make_supervisor(lambda i: (FakeConn(), FakeProc()))
+def launched(conn, proc):
+    """A supervisor whose worker 0 was launched on ``(conn, proc)``, so
+    its reply poller watches the fake's pipe."""
+    supervisor = make_supervisor(lambda i: (conn, proc))
     handle = supervisor.workers[0]
-    handle.conn, handle.proc = FakeConn(), FakeProc(alive=True)
+    supervisor._launch(handle)
+    return supervisor, handle
+
+
+def test_silent_live_worker_is_a_hang_with_missed_heartbeats():
+    supervisor, handle = launched(FakeConn(), FakeProc(alive=True))
     with pytest.raises(WorkerHang, match="no heartbeats"):
         supervisor._recv(handle)
     assert supervisor.heartbeats_missed > 0
@@ -90,26 +116,20 @@ def test_silent_live_worker_is_a_hang_with_missed_heartbeats():
 
 def test_heartbeating_but_unresponsive_worker_is_a_livelock_hang():
     conn = FakeConn([("hb",)] * 100)
-    supervisor = make_supervisor(lambda i: (conn, FakeProc()))
-    handle = supervisor.workers[0]
-    handle.conn, handle.proc = conn, FakeProc(alive=True)
+    supervisor, handle = launched(conn, FakeProc(alive=True))
     with pytest.raises(WorkerHang, match="livelock"):
         supervisor._recv(handle)
 
 
 def test_dead_process_is_a_crash_not_a_hang():
-    supervisor = make_supervisor(lambda i: (FakeConn(), FakeProc()))
-    handle = supervisor.workers[0]
-    handle.conn, handle.proc = FakeConn(), FakeProc(alive=False)
+    supervisor, handle = launched(FakeConn(), FakeProc(alive=False))
     with pytest.raises(WorkerCrash, match="process died"):
         supervisor._recv(handle)
 
 
 def test_eof_is_a_crash():
     conn = FakeConn([EOFError("peer gone")])
-    supervisor = make_supervisor(lambda i: (conn, FakeProc()))
-    handle = supervisor.workers[0]
-    handle.conn, handle.proc = conn, FakeProc(alive=True)
+    supervisor, handle = launched(conn, FakeProc(alive=True))
     with pytest.raises(WorkerCrash, match="pipe closed"):
         supervisor._recv(handle)
 
@@ -118,9 +138,7 @@ def test_remote_error_reply_carries_the_worker_traceback():
     conn = FakeConn([
         ("error", {"worker": 0, "epoch": 7, "traceback": "Traceback: boom"}),
     ])
-    supervisor = make_supervisor(lambda i: (conn, FakeProc()))
-    handle = supervisor.workers[0]
-    handle.conn, handle.proc = conn, FakeProc(alive=True)
+    supervisor, handle = launched(conn, FakeProc(alive=True))
     with pytest.raises(WorkerCrash) as info:
         supervisor._recv(handle)
     assert info.value.epoch == 7
@@ -130,10 +148,28 @@ def test_remote_error_reply_carries_the_worker_traceback():
 
 def test_heartbeats_are_swallowed_before_the_real_reply():
     conn = FakeConn([("hb",), ("hb",), ("done", {}, [], {})])
-    supervisor = make_supervisor(lambda i: (conn, FakeProc()))
-    handle = supervisor.workers[0]
-    handle.conn, handle.proc = conn, FakeProc(alive=True)
+    supervisor, handle = launched(conn, FakeProc(alive=True))
     assert supervisor._recv(handle)[0] == "done"
+
+
+def test_poller_wakes_on_a_real_pipe_reply_and_on_peer_close():
+    """The launch-time poller over a real duplex pipe: a reply sent by
+    the peer is read back as one pickled frame, and closing the peer
+    end is a crash, not a hang."""
+    import multiprocessing
+
+    parent_end, child_end = multiprocessing.Pipe()
+    supervisor, handle = launched(parent_end, FakeProc(alive=True))
+    supervisor._send(handle, ("epoch", [(0.5, False)], None))
+    assert pickle.loads(child_end.recv_bytes()) == (
+        "epoch", [(0.5, False)], None,
+    )
+    child_end.send_bytes(pickle.dumps(("done", {0: 0.5}, None, {})))
+    assert supervisor._recv(handle) == ("done", {0: 0.5}, None, {})
+    child_end.close()
+    with pytest.raises(WorkerCrash, match="pipe closed"):
+        supervisor._recv(handle)
+    supervisor.shutdown()
 
 
 # ----------------------------------------------------------------------
