@@ -485,11 +485,23 @@ class Scenario:
         defaults. These knobs are parent-side only — they never enter
         the spec, so digests are unaffected. Unlike pipeline stages
         they may be set after :meth:`build` (they configure the run,
-        not the object graph).
+        not the object graph). ``heartbeat_interval=0`` switches
+        heartbeats off; a negative interval or a non-positive
+        ``epoch_timeout`` raises :class:`ValueError` and leaves the
+        configuration unchanged.
         """
         from repro.resilience import ResilienceConfig
+        from repro.resilience.policy import check_supervision_timing
 
         cfg = self._resilience or ResilienceConfig()
+        check_supervision_timing(
+            cfg.epoch_timeout_s if epoch_timeout is None else epoch_timeout,
+            (
+                cfg.heartbeat_interval_s
+                if heartbeat_interval is None
+                else heartbeat_interval
+            ),
+        )
         if checkpoint_every is not None:
             cfg.checkpoint_every_s = float(checkpoint_every)
         if checkpoint is not None:

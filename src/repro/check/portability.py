@@ -14,7 +14,7 @@ PORT001   A lambda or nested-function reference passed into a
           ``DomainMessage(...)`` constructor or a ``router.send(...)``
           call: closures cannot cross the pipe. Encode behavior as a
           ``(kind, target)`` pair and resolve it worker-side (the
-          ``encode_message``/``decode_message`` discipline).
+          ``flatten_message``/``restore_message`` discipline).
 PORT002   ``Process(target=...)`` whose target is a lambda, a nested
           function, or a ``self.``-bound method: unpicklable under the
           spawn start method, so the backend silently stops being

@@ -126,6 +126,14 @@ class FaultApplier:
         """Virtual time of the earliest occurrence (``inf`` if none)."""
         return self._occurrences[0][0] if self._occurrences else float("inf")
 
+    def occurrence_times(self) -> Tuple[float, ...]:
+        """Virtual time of every occurrence, in application order.
+
+        Read-only: the multiprocess parent walks these with its own
+        cursor to tell which epoch barriers apply a fault, without
+        applying anything itself."""
+        return tuple(occ[0] for occ in self._occurrences)
+
     def touched_links(self) -> List[int]:
         """Every link id the timeline can mutate, sorted."""
         touched = set()

@@ -6,55 +6,65 @@ the emulation once and forks one worker per domain group; each worker
 inherits the *entire* built emulation (so every worker sees an
 identical object graph, without rebuilding it) and runs only the
 event domains it owns. The parent never runs events: it is the
-barrier — it routes cross-domain messages, computes each epoch
-window, and broadcasts it.
+barrier — it computes each epoch's windows, hands every worker the
+mail addressed to it, and decides who takes part.
 
 Determinism, regardless of worker count:
 
-* every cross-domain message travels through the parent, which sorts
-  the union of all outboxes by ``(time, src_domain, seq)`` — the same
-  total order :meth:`DomainRouter.flush` uses in-process — before
-  slicing it per worker;
-* a worker injects its slice in that order, so heap sequence numbers
-  in each destination domain are assigned identically whether the
-  sender lived in the same worker or another one;
+* a worker keeps mail between two of its own domains and sends the
+  rest to the parent as one pickled batch of flat tuples per
+  destination worker; the parent forwards those bytes untouched;
+* the receiving worker merges its local mail with every inbound batch
+  and sorts the union by ``(time, src_domain, seq)`` — the same total
+  order :meth:`DomainRouter.flush` uses in-process — before injecting
+  it, so heap sequence numbers in each destination domain are assigned
+  identically whether the sender lived in the same worker or another
+  one;
 * the per-domain window vector is computed by the same
   :func:`~repro.engine.sync.epoch_windows` planner the serial
   executor uses, on the same effective next-event vector
-  (worker-reported heap minima folded with undelivered message
-  times, which equals the post-flush heap minimum the serial
-  executor sees).
+  (worker-reported heap minima folded with the minimum time of the
+  mail each domain is about to receive, which workers report per
+  destination domain — this equals the post-flush heap minimum the
+  serial executor sees).
+
+Idle workers skip epochs. The parent sends an epoch only to a worker
+that has something to do in it: a domain with an event inside its
+window, inbound mail, local mail not yet injected, or a fault-timeline
+occurrence due at the epoch's barrier (then every worker takes part,
+so all processes mutate link state at the same barrier). A skipped
+worker dispatches nothing, so its last reported next-event times and
+digests stay exact; its domain clocks lag until its next epoch, which
+is safe because injection only refuses times before a domain's clock.
+Mail is always injected in the epoch right after it was sent, never
+deferred: merging batches from two barriers into one sort would
+reorder heap sequence numbers.
 
 Hence the composed per-domain digests of a multiprocess run match the
 serial partitioned run of the same scenario exactly — the property
 ``repro-net sanitize --backend multiprocess`` enforces.
 
-Mail crosses the process boundary as *batched frames*: each epoch
-command carries one pre-pickled bytes frame holding the worker's
-whole mail slice (``None`` when empty), and each reply carries one
-frame holding the worker's whole outbox. Frames are opaque to the
-supervisor, so crash-replay resends byte-identical commands without
-re-encoding, and the single-frame shape is the groundwork for
-shared-memory mailboxes later. Commands and replies themselves are
-one ``pickle.dumps`` per ``send_bytes`` call on both ends.
+Commands and replies are one pickle per length-prefixed frame over a
+``socket.socketpair`` (:class:`~repro.resilience.supervisor.FrameConnection`).
+Mail blobs are opaque to the parent and the supervisor, so crash
+replay resends byte-identical commands without re-encoding.
 
 Execution is supervised (:mod:`repro.resilience`): every worker runs a
 heartbeat thread, replies carry per-domain digests folded inline by
 the worker's event domains, and the parent drives the epoch barrier
 through a :class:`~repro.resilience.supervisor.WorkerSupervisor` that
 detects crashes and hangs, respawns dead workers by forking the
-untouched parent again, and replays them to the last completed
-barrier with a digest check — so a SIGKILL mid-run yields the same
-composed digest as an undisturbed run.
+untouched parent again, and replays them through the epochs they took
+part in, to the last completed barrier, with a digest check — so a
+SIGKILL mid-run yields the same composed digest as an undisturbed run.
 Budget guards and checkpoint callbacks observe the loop at epoch
 boundaries and never alter the epoch structure.
 
-One synchronous round trip per worker per epoch is the price of the
-barrier. Per-pair lookahead and epoch coalescing keep that price
-bounded by the *real* cross-domain pipe latencies (milliseconds on
-the paper topologies, not the 20 us channel floor), so epochs carry
-thousands of events instead of a handful; BENCH results are reported
-honestly either way (see DESIGN.md §8).
+One synchronous round trip per participating worker per epoch is the
+price of the barrier. Per-pair lookahead and epoch coalescing keep
+that price bounded by the *real* cross-domain pipe latencies
+(milliseconds on the paper topologies, not the 20 us channel floor);
+BENCH results are reported honestly either way (see DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -63,9 +73,11 @@ import multiprocessing
 import pickle
 import signal as _signal
 import threading
+from bisect import bisect_right
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.packet import PacketDescriptor
 from repro.engine.domain import INFINITY
 from repro.engine.sync import (
     DomainMessage,
@@ -73,17 +85,25 @@ from repro.engine.sync import (
     epoch_windows,
     fault_barrier,
 )
+from repro.net.packet import Packet
+from repro.net.sockets import UdpDatagram
+from repro.net.tcp import TcpSegment
 from repro.resilience.policy import (
     BudgetExceeded,
     BudgetGuard,
     ResilienceError,
     RetryPolicy,
 )
-from repro.resilience.supervisor import WorkerSupervisor
+from repro.resilience.supervisor import WorkerSupervisor, frame_pipe
 
-#: Payload encodings on the wire between processes.
-_ENC_DESCRIPTOR = 0
-_ENC_PACKET = 1
+_HIGHEST = pickle.HIGHEST_PROTOCOL
+
+#: Transport tags of a flat packet tuple.
+_SEG_TCP = 0
+_SEG_UDP = 1
+_SEG_OBJECT = 2  # any other segment, carried as the object itself
+
+_new = object.__new__
 
 
 class ParallelExecutionError(RuntimeError):
@@ -91,71 +111,97 @@ class ParallelExecutionError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Message encoding
+# Mail codec
 # ----------------------------------------------------------------------
 
-def encode_message(message: DomainMessage) -> DomainMessage:
-    """Replace the live payload with picklable plain data.
-
-    Descriptors reference live :class:`~repro.core.pipe.Pipe` objects,
-    which cannot cross a process boundary; they are flattened to pipe
-    ids and rehydrated against the destination worker's identical
-    pipe table. Packets and segments are plain data already.
-    """
-    if message.kind == MSG_HOST:
-        return message._replace(payload=(_ENC_PACKET, message.payload))
-    descriptor = message.payload
-    return message._replace(
-        payload=(
-            _ENC_DESCRIPTOR,
-            descriptor.packet,
-            tuple(pipe.id for pipe in descriptor.pipes),
-            descriptor.hop_index,
-            descriptor.entry_core,
-            descriptor.entered_at,
-            descriptor.ideal_time,
-            descriptor.tunnel_hops,
+def flatten_packet(packet: Packet) -> tuple:
+    """A packet and its transport segment as one flat tuple of plain
+    values (the packet ``id`` included), which pickles far faster than
+    the slotted object graph."""
+    seg = packet.segment
+    cls = type(seg)
+    if cls is TcpSegment:
+        return (
+            packet.id, packet.src, packet.dst, packet.size_bytes,
+            packet.proto, packet.created_at, _SEG_TCP,
+            seg.sport, seg.dport, seg.seq, seg.ack_seq, seg.flags,
+            seg.wnd, seg.payload_len, seg.messages, seg.sack_blocks,
         )
+    if cls is UdpDatagram:
+        return (
+            packet.id, packet.src, packet.dst, packet.size_bytes,
+            packet.proto, packet.created_at, _SEG_UDP,
+            seg.sport, seg.dport, seg.payload, seg.payload_len,
+        )
+    return (
+        packet.id, packet.src, packet.dst, packet.size_bytes,
+        packet.proto, packet.created_at, _SEG_OBJECT, seg,
     )
 
 
-def decode_message(message: DomainMessage, emulation) -> DomainMessage:
-    """Rehydrate an encoded payload against this process's emulation."""
-    from repro.core.packet import PacketDescriptor
+def restore_packet(flat: tuple) -> Packet:
+    """Inverse of :func:`flatten_packet` (keeps the sender's id)."""
+    packet = _new(Packet)
+    (packet.id, packet.src, packet.dst, packet.size_bytes,
+     packet.proto, packet.created_at, tag) = flat[:7]
+    if tag == _SEG_TCP:
+        seg = _new(TcpSegment)
+        (seg.sport, seg.dport, seg.seq, seg.ack_seq, seg.flags, seg.wnd,
+         seg.payload_len, seg.messages, seg.sack_blocks) = flat[7:]
+    elif tag == _SEG_UDP:
+        seg = _new(UdpDatagram)
+        seg.sport, seg.dport, seg.payload, seg.payload_len = flat[7:]
+    else:
+        seg = flat[7]
+    packet.segment = seg
+    return packet
 
-    payload = message.payload
-    if payload[0] == _ENC_PACKET:
-        return message._replace(payload=payload[1])
-    (_, packet, pipe_ids, hop_index, entry_core, entered_at,
+
+def flatten_message(message: DomainMessage) -> tuple:
+    """One cross-worker message as a flat ``(time, src_domain, seq,
+    dst_domain, kind, target, payload)`` tuple.
+
+    Descriptors reference live :class:`~repro.core.pipe.Pipe` objects,
+    which cannot cross a process boundary; they travel as pipe ids and
+    are rehydrated against the destination worker's identical pipe
+    table.
+    """
+    time, src, seq, dst, kind, target, payload = message
+    if kind == MSG_HOST:
+        flat = flatten_packet(payload)
+    else:
+        flat = (
+            flatten_packet(payload.packet),
+            tuple([pipe.id for pipe in payload.pipes]),
+            payload.hop_index,
+            payload.entry_core,
+            payload.entered_at,
+            payload.ideal_time,
+            payload.tunnel_hops,
+        )
+    return (time, src, seq, dst, kind, target, flat)
+
+
+def restore_message(flat: tuple, pipes_by_id) -> DomainMessage:
+    """Inverse of :func:`flatten_message` against this process's pipe
+    table."""
+    time, src, seq, dst, kind, target, payload = flat
+    if kind == MSG_HOST:
+        return DomainMessage(
+            time, src, seq, dst, kind, target, restore_packet(payload)
+        )
+    (packet, pipe_ids, hop_index, entry_core, entered_at,
      ideal_time, tunnel_hops) = payload
-    pipes_by_id = emulation._pipes_by_id
     descriptor = PacketDescriptor.acquire(
-        packet,
-        tuple(pipes_by_id[pipe_id] for pipe_id in pipe_ids),
+        restore_packet(packet),
+        tuple([pipes_by_id[pipe_id] for pipe_id in pipe_ids]),
         entry_core,
         entered_at,
     )
     descriptor.hop_index = hop_index
     descriptor.ideal_time = ideal_time
     descriptor.tunnel_hops = tunnel_hops
-    return message._replace(payload=descriptor)
-
-
-def pack_frame(messages: List[DomainMessage]) -> Optional[bytes]:
-    """One pickle frame for a whole (already-encoded) mail batch.
-
-    ``None`` stands for the empty batch so quiet epochs ship a single
-    byte over the command pipe instead of a pickled empty list.
-    """
-    if not messages:
-        return None
-    return pickle.dumps(messages, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def unpack_frame(frame: Optional[bytes]) -> List[DomainMessage]:
-    if frame is None:
-        return []
-    return pickle.loads(frame)
+    return DomainMessage(time, src, seq, dst, kind, target, descriptor)
 
 
 # ----------------------------------------------------------------------
@@ -285,8 +331,10 @@ def _collect_worker_stats(emulation, sim, owned: Sequence[int], digest: bool) ->
 
 def _worker_main(
     conn,
+    parent_ends: Sequence[Any],
     scenario,
     owned: List[int],
+    owner_of_domain: Sequence[int],
     worker_index: int = 0,
     heartbeat_interval_s: float = 0.5,
     digest: bool = True,
@@ -294,24 +342,37 @@ def _worker_main(
     """One worker: adopt the inherited emulation, then serve epoch
     commands until 'finish'.
 
-    Every message is one pickle per ``send_bytes``/``recv_bytes``
-    frame. A daemon heartbeat thread shares the reply pipe (under a
-    send lock) so the supervisor can tell a dead or stopped process
-    from a livelocked one. With ``digest`` (the default) the owned
-    domains fold their event streams inline and every ``done`` reply
-    carries ``{domain: (hexdigest, count)}``, which is what makes crash
-    recovery *verifiable* — the supervisor replays a respawned worker
-    and compares these digests against the pre-crash ones. The
+    Every message is one pickle per frame. A daemon heartbeat thread
+    shares the reply connection (under a send lock) so the supervisor
+    can tell a dead or stopped process from a livelocked one; an
+    interval of 0 starts no thread. With ``digest`` (the default) the
+    owned domains fold their event streams inline and every ``done``
+    reply carries ``{domain: (hexdigest, count)}``, which is what makes
+    crash recovery *verifiable* — the supervisor replays a respawned
+    worker and compares these digests against the pre-crash ones. The
     single-worker fast path disables digests for pure timing runs
     (recovery there is a from-scratch deterministic rerun, so there is
     no replay to verify, and the serial leg it is benchmarked against
     runs undigested too).
+
+    ``parent_ends`` are the parent-side connection ends this process
+    inherited through fork; closing them at once means that when the
+    parent closes its end, this worker reads EOF and exits instead of
+    waiting for a command that never comes.
+
+    An epoch reply's outbox is ``None`` when the epoch sent no mail,
+    else ``(mail_times, blobs)``: the earliest mail time per
+    destination domain (local destinations included, which is how the
+    parent knows this worker holds local mail) and one pickled list of
+    flat messages per destination worker.
     """
+    for end in parent_ends:
+        end.close()
     send_lock = threading.Lock()
     stop_beating = threading.Event()
 
     def _send(payload) -> None:
-        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        data = pickle.dumps(payload, _HIGHEST)
         with send_lock:
             conn.send_bytes(data)
 
@@ -331,36 +392,74 @@ def _worker_main(
         sim, emulation = _adopt_parent(scenario, owned, digest)
         domains = sim.domains
         router = sim.router
+        pipes_by_id = emulation._pipes_by_id
+        loads = pickle.loads
+        dumps = pickle.dumps
+        #: Mail from owned domains to owned domains, injected next epoch.
+        local: List[DomainMessage] = []
+        sent = 0
         _send(("ready", {d: domains[d].next_event_time() for d in owned}))
         while True:
-            command = pickle.loads(conn.recv_bytes())
+            try:
+                command = loads(conn.recv_bytes())
+            except (EOFError, ConnectionError):
+                # The parent closed our connection without a 'finish'
+                # (it gave up on the run): nothing left to serve.
+                stop_beating.set()
+                return
             op = command[0]
             if op == "epoch":
-                _, windows, frame = command
-                if frame is not None:
-                    router.inject(
-                        domains,
-                        [
-                            decode_message(m, emulation)
-                            for m in unpack_frame(frame)
-                        ],
-                    )
+                _, windows, inbound = command
+                mail = local
+                local = []
+                for blob in inbound:
+                    mail += [
+                        restore_message(flat, pipes_by_id)
+                        for flat in loads(blob)
+                    ]
+                if mail:
+                    # (time, src_domain, seq) is unique per message, so
+                    # plain tuple order never reaches the payload.
+                    mail.sort()
+                    router.inject(domains, mail)
                 if sim.fault_hook is not None:
                     # Barrier-aligned fault application: every worker
                     # receives the full window list and computes the
-                    # same barrier the serial loop does, so all
+                    # same barrier the serial loop does; the parent
+                    # sends a fault barrier to every worker, so all
                     # processes mutate link state at identical points.
                     sim.fault_hook(fault_barrier(windows))
                 for d in owned:
                     window = windows[d]
                     if window is not None:
                         domains[d].run_window(window[0], window[1])
-                outbox = [encode_message(m) for m in router.take_pending()]
+                outbox = router.take_pending()
+                if outbox:
+                    sent += len(outbox)
+                    mail_times: Dict[int, float] = {}
+                    remote: Dict[int, list] = {}
+                    for message in outbox:
+                        dst = message.dst_domain
+                        if message.time < mail_times.get(dst, INFINITY):
+                            mail_times[dst] = message.time
+                        owner = owner_of_domain[dst]
+                        if owner == worker_index:
+                            local.append(message)
+                        elif owner in remote:
+                            remote[owner].append(flatten_message(message))
+                        else:
+                            remote[owner] = [flatten_message(message)]
+                    mail_out = (
+                        mail_times,
+                        {w: dumps(batch, _HIGHEST) for w, batch in remote.items()},
+                    )
+                else:
+                    mail_out = None
                 _send(
                     (
                         "done",
                         {d: domains[d].next_event_time() for d in owned},
-                        pack_frame(outbox),
+                        mail_out,
                         _domain_digests(sim, owned, digest),
                     )
                 )
@@ -373,6 +472,7 @@ def _worker_main(
                 # digests with zero per-epoch IPC.
                 _, run_until = command
                 sim.run(until=run_until)
+                sent = router.messages_routed
                 _send(
                     (
                         "done",
@@ -387,9 +487,9 @@ def _worker_main(
                 if until is not None:
                     sim.fast_forward(until, owned)
                 stop_beating.set()
-                _send(
-                    ("result", _collect_worker_stats(emulation, sim, owned, digest))
-                )
+                stats = _collect_worker_stats(emulation, sim, owned, digest)
+                stats["messages_sent"] = sent
+                _send(("result", stats))
                 conn.close()
                 return
             else:  # pragma: no cover - protocol is fixed
@@ -556,15 +656,21 @@ def run_multiprocess(
     )
     digest = (not fast) or sanitize
 
+    #: Every parent-side connection end opened so far; each worker
+    #: closes its inherited copies (closing an already-closed one is a
+    #: no-op).
+    parent_ends: List[Any] = []
+
     def spawn(index: int):
         # Forked from this (never-run) parent, so a respawned worker
         # starts from the same state as the original one did.
-        parent_conn, child_conn = ctx.Pipe()
+        parent_conn, child_conn = frame_pipe()
+        parent_ends.append(parent_conn)
         proc = ctx.Process(
             target=_worker_main,
             args=(
-                child_conn, scenario, owned[index], index,
-                heartbeat_interval_s, digest,
+                child_conn, list(parent_ends), scenario, owned[index],
+                owner_of_domain, index, heartbeat_interval_s, digest,
             ),
             daemon=True,
         )
@@ -583,6 +689,12 @@ def run_multiprocess(
         budget.start()
     stats: List[dict] = []
     matrix = sim.matrix
+    applier = scenario.emulation.fault_applier
+    fault_times = (
+        applier.occurrence_times()
+        if applier is not None and sim.fault_hook is not None
+        else ()
+    )
     t0 = perf_counter()  # repro: allow-wallclock
     try:
         next_times: Dict[int, float] = supervisor.start()
@@ -597,62 +709,17 @@ def run_multiprocess(
             # epoch loop itself and reports once at the end.
             reply = supervisor.run_all(until)
             result.wall_time_s = perf_counter() - t0  # repro: allow-wallclock
-            next_times.update(reply[1])
             result.epochs, result.messages_routed = reply[2]
             for d, (digest, count) in reply[3].items():
                 result.domain_digests[d] = digest
                 result.domain_digest_events[d] = count
             stats = supervisor.finish(until)
         else:
-            pending: List[DomainMessage] = []
-            while True:
-                eff_next = [
-                    next_times.get(d, INFINITY) for d in range(num_domains)
-                ]
-                for message in pending:
-                    if message.time < eff_next[message.dst_domain]:
-                        eff_next[message.dst_domain] = message.time
-                windows = epoch_windows(eff_next, matrix, until)
-                if windows is None:
-                    break
-                barrier = INFINITY
-                for window in windows:
-                    if window is not None and window[0] < barrier:
-                        barrier = window[0]
-                pending.sort(key=lambda m: (m.time, m.src_domain, m.seq))
-                slices: List[List[DomainMessage]] = [
-                    [] for _ in range(num_workers)
-                ]
-                for message in pending:
-                    slices[owner_of_domain[message.dst_domain]].append(message)
-                result.messages_routed += len(pending)
-                pending = []
-                frames = [pack_frame(messages) for messages in slices]
-                if (
-                    chaos_kill is not None
-                    and supervisor.epoch_index == chaos_kill[0]
-                ):
-                    supervisor.kill(chaos_kill[1] % num_workers, chaos_signal)
-                replies = supervisor.run_epoch(windows, frames)
-                for reply in replies:
-                    next_times.update(reply[1])
-                    pending.extend(unpack_frame(reply[2]))
-                    for d, (digest, count) in reply[3].items():
-                        result.domain_digests[d] = digest
-                        result.domain_digest_events[d] = count
-                result.epochs += 1
-                if budget is not None:
-                    budget.check(
-                        events=sum(result.domain_digest_events.values()),
-                        pids=supervisor.pids(),
-                    )
-                if on_epoch is not None:
-                    on_epoch(
-                        result.epochs - 1,
-                        barrier,
-                        dict(result.domain_digests),
-                        dict(result.domain_digest_events),
-                    )
+            _epoch_loop(
+                supervisor, result, next_times, matrix, until, owned,
+                owner_of_domain, fault_times, budget, on_epoch, chaos_kill,
+                chaos_signal,
+            )
             result.wall_time_s = perf_counter() - t0  # repro: allow-wallclock
             stats = supervisor.finish(until)
     except BudgetExceeded as exc:
@@ -683,6 +750,99 @@ def run_multiprocess(
     return result
 
 
+def _epoch_loop(
+    supervisor: WorkerSupervisor,
+    result: MultiprocessResult,
+    next_times: Dict[int, float],
+    matrix,
+    until: float,
+    owned: Sequence[Sequence[int]],
+    owner_of_domain: Sequence[int],
+    fault_times: Sequence[float],
+    budget: Optional[BudgetGuard],
+    on_epoch: Optional[Callable[[int, float, dict, dict], None]],
+    chaos_kill: Optional[Tuple[int, int]],
+    chaos_signal: int,
+) -> None:
+    """The parent's barrier loop: plan each epoch's windows, pick the
+    workers that take part, hand them their mail, fold the replies."""
+    num_domains = len(owner_of_domain)
+    num_workers = len(owned)
+    everyone = range(num_workers)
+    heap_next = [next_times.get(d, INFINITY) for d in range(num_domains)]
+    #: Earliest undelivered mail time per destination domain (local
+    #: mail included), and the inbound mail blobs per worker.
+    mail_times: Dict[int, float] = {}
+    inbox: List[List[bytes]] = [[] for _ in everyone]
+    #: Occurrences up to this index are applied by every worker.
+    fault_cursor = 0
+    domain_digests = result.domain_digests
+    domain_events = result.domain_digest_events
+    while True:
+        eff_next = heap_next[:]
+        for d, t in mail_times.items():
+            if t < eff_next[d]:
+                eff_next[d] = t
+        windows = epoch_windows(eff_next, matrix, until)
+        if windows is None:
+            break
+        barrier = fault_barrier(windows)
+        due = bisect_right(fault_times, barrier)
+        if due > fault_cursor:
+            # A fault occurrence applies at this barrier: every worker
+            # must apply it now, so every worker takes part.
+            fault_cursor = due
+            active = everyone
+        else:
+            mailed = {owner_of_domain[d] for d in mail_times}
+            active = []
+            for w in everyone:
+                if w in mailed:
+                    active.append(w)
+                    continue
+                for d in owned[w]:
+                    window = windows[d]
+                    if window is not None and (
+                        eff_next[d] < window[0]
+                        or (eff_next[d] == window[0] and window[1])
+                    ):
+                        active.append(w)
+                        break
+        mail = {w: tuple(inbox[w]) for w in active}
+        if chaos_kill is not None and supervisor.epoch_index == chaos_kill[0]:
+            supervisor.kill(chaos_kill[1] % num_workers, chaos_signal)
+        replies = supervisor.run_epoch(windows, mail)
+        mail_times = {}
+        inbox = [[] for _ in everyone]
+        for reply in replies.values():
+            for d, t in reply[1].items():
+                heap_next[d] = t
+            outbox = reply[2]
+            if outbox is not None:
+                times, blobs = outbox
+                for d, t in times.items():
+                    if t < mail_times.get(d, INFINITY):
+                        mail_times[d] = t
+                for dst, blob in blobs.items():
+                    inbox[dst].append(blob)
+            for d, (digest, count) in reply[3].items():
+                domain_digests[d] = digest
+                domain_events[d] = count
+        result.epochs += 1
+        if budget is not None:
+            budget.check(
+                events=sum(domain_events.values()),
+                pids=supervisor.pids(),
+            )
+        if on_epoch is not None:
+            on_epoch(
+                result.epochs - 1,
+                barrier,
+                dict(domain_digests),
+                dict(domain_events),
+            )
+
+
 def _merge_stats(scenario, stats: List[dict], until, result) -> None:
     """Patch the parent's never-run emulation with worker state so the
     standard report path reads true numbers."""
@@ -693,7 +853,9 @@ def _merge_stats(scenario, stats: List[dict], until, result) -> None:
     edge_switches = 0
     tcp_totals: Dict[str, int] = {}
     samples: List[Tuple[int, List[float]]] = []
+    messages = 0
     for worker_stats in stats:
+        messages += worker_stats["messages_sent"]
         for d, (dispatched, now) in worker_stats["domains"].items():
             sim.domains[d].restore_progress(dispatched, now)
             result.events_by_domain[d] = dispatched
@@ -753,6 +915,8 @@ def _merge_stats(scenario, stats: List[dict], until, result) -> None:
         if room <= 0:
             break
         monitor.error_samples.extend(worker_samples[:room])
+    if stats:
+        result.messages_routed = messages
     sim.epochs = result.epochs
     sim.router.messages_routed = result.messages_routed
     if until is not None:

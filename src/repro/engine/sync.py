@@ -481,7 +481,6 @@ def epoch_windows(
     windows: List[Optional[Tuple[float, bool]]] = []
     for j in range(n):
         horizon = INFINITY
-        row = None
         for i in range(n):
             p = psend[i]
             if p == INFINITY:
@@ -492,7 +491,6 @@ def epoch_windows(
             v = p + d
             if v < horizon:
                 horizon = v
-        del row
         if until is not None:
             if horizon >= until:
                 windows.append((until, True))

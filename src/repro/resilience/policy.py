@@ -26,6 +26,7 @@ __all__ = [
     "RetryPolicy",
     "BudgetGuard",
     "ResilienceConfig",
+    "check_supervision_timing",
 ]
 
 
@@ -217,6 +218,24 @@ class BudgetGuard:
                 )
 
 
+def check_supervision_timing(
+    epoch_timeout_s: float, heartbeat_interval_s: float
+) -> None:
+    """Refuse supervision timings that would silently disable hang
+    detection: the epoch timeout must be positive, and the heartbeat
+    interval non-negative (0 switches heartbeats off; the supervisor
+    then waits for each reply until the epoch timeout)."""
+    if not epoch_timeout_s > 0:
+        raise ValueError(
+            f"epoch timeout must be positive, got {epoch_timeout_s!r}"
+        )
+    if not heartbeat_interval_s >= 0:
+        raise ValueError(
+            "heartbeat interval must be >= 0 (0 disables heartbeats), "
+            f"got {heartbeat_interval_s!r}"
+        )
+
+
 @dataclass
 class ResilienceConfig:
     """Everything `Scenario.resilience()` / the CLI flags can set.
@@ -240,6 +259,9 @@ class ResilienceConfig:
     chaos_kill: Optional[Tuple[int, int]] = None
     chaos_signal: int = 9  # SIGKILL
     extra: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        check_supervision_timing(self.epoch_timeout_s, self.heartbeat_interval_s)
 
     def budget(self) -> BudgetGuard:
         rss = None

@@ -1,28 +1,35 @@
 """WorkerSupervisor: heartbeats, failure typing, deterministic recovery.
 
 The multiprocess backend (:mod:`repro.engine.parallel`) is a lockstep
-epoch barrier: the parent broadcasts ``("epoch", windows, frame)``
-commands and every worker must answer with ``("done", next_times,
-outbox, digests)``. That protocol makes supervision simple — a worker
-is healthy iff it answers the current command within the epoch
-timeout — and makes recovery *provably* correct:
+epoch barrier: each epoch the parent sends ``("epoch", windows,
+mail)`` to every worker that has something to do in it, and each of
+those workers must answer with ``("done", next_times, outbox,
+digests)``. A worker with no work, no mail and no fault due sits the
+epoch out; it dispatches nothing, so its last answer stays exact.
+That protocol makes supervision simple — a worker is healthy iff it
+answers the current command within the epoch timeout — and makes
+recovery *provably* correct:
 
 * every worker, respawned ones included, is forked from the same
   parent, whose built emulation never runs, so a respawned worker
   starts from the identical object graph the original one did;
-* the parent already stores, per epoch, exactly the inputs a worker
-  consumed (the epoch window plus that worker's cross-domain message
-  slice) because *it* produced them; replaying that history drives the
-  respawned worker through the same event stream event-for-event;
+* the parent already stores, per epoch, exactly the inputs each
+  worker consumed (the epoch windows plus that worker's inbound mail)
+  and which workers took part, because *it* produced them; replaying
+  the epochs a worker took part in drives the respawned worker through
+  the same event stream event-for-event;
 * every ``done`` reply carries streaming per-domain digests, so after
   replay the supervisor compares the respawned worker's digests
   against the ones recorded before the crash. A mismatch is a
   :class:`WorkerDesync` — recovery refuses to continue from a state it
   cannot prove equal to the pre-crash one.
 
-On the wire every command and reply is one pickle per
-``send_bytes``/``recv_bytes`` frame, and the parent waits on each
-worker through a ``select.poll`` object registered once at launch.
+On the wire every command and reply is one pickle in one
+length-prefixed frame over a ``socket.socketpair`` stream
+(:class:`FrameConnection`), and the parent waits on each worker
+through a ``select.poll`` object registered once at launch. The
+reader never buffers past a frame, so ``poll`` readiness always means
+an unread frame (or EOF) is waiting.
 
 Failures are typed: :class:`WorkerCrash` (process died / pipe broke /
 worker reported a traceback), :class:`WorkerHang` (alive but silent
@@ -45,10 +52,16 @@ import os
 import pickle
 import select
 import signal
+import socket
+import struct
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.resilience.policy import ResilienceError, RetryPolicy
+from repro.resilience.policy import (
+    ResilienceError,
+    RetryPolicy,
+    check_supervision_timing,
+)
 
 __all__ = [
     "WorkerFailure",
@@ -58,7 +71,64 @@ __all__ = [
     "SupervisionEscalation",
     "WorkerHandle",
     "WorkerSupervisor",
+    "FrameConnection",
+    "frame_pipe",
 ]
+
+_FRAME_HEADER = struct.Struct("!Q")
+
+
+class FrameConnection:
+    """One end of a duplex stream of length-prefixed byte frames.
+
+    Each frame is an 8-byte big-endian length followed by the payload,
+    written with one ``sendall`` and read with ``MSG_WAITALL``
+    receives, so a frame costs one system call per direction in the
+    common case. Reads never go past the current frame, which keeps
+    ``select.poll`` on :meth:`fileno` truthful: readable means a frame
+    (or EOF) is waiting in the kernel. Writers sharing one end across
+    threads must serialize :meth:`send_bytes` themselves.
+    """
+
+    __slots__ = ("_sock",)
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
+    def send_bytes(self, data: bytes) -> None:
+        self._sock.sendall(_FRAME_HEADER.pack(len(data)) + data)
+
+    def recv_bytes(self) -> bytes:
+        (size,) = _FRAME_HEADER.unpack(self._recv_exact(_FRAME_HEADER.size))
+        return self._recv_exact(size)
+
+    def _recv_exact(self, size: int) -> bytes:
+        sock = self._sock
+        data = sock.recv(size, socket.MSG_WAITALL)
+        if len(data) == size:
+            return data
+        if not data:
+            raise EOFError("peer closed the connection")
+        # A signal can cut a MSG_WAITALL read short; finish the frame.
+        buffer = bytearray(data)
+        while len(buffer) < size:
+            chunk = sock.recv(size - len(buffer), socket.MSG_WAITALL)
+            if not chunk:
+                raise EOFError("peer closed the connection mid-frame")
+            buffer += chunk
+        return bytes(buffer)
+
+    def close(self) -> None:
+        self._sock.close()
+
+
+def frame_pipe() -> Tuple[FrameConnection, FrameConnection]:
+    """A connected pair of :class:`FrameConnection` ends."""
+    left, right = socket.socketpair()
+    return FrameConnection(left), FrameConnection(right)
 
 
 class WorkerFailure(ResilienceError):
@@ -152,10 +222,11 @@ class WorkerHandle:
         #: ``select.poll`` object watching ``conn`` for replies.
         self.poller = None
         self.proc = None
-        #: Epochs this worker has completed (answered "done" for).
+        #: Epochs completed since launch, counting the ones this worker
+        #: sat out: replay walks the first ``completed`` history entries.
         self.completed = 0
-        #: ``{domain: (hexdigest, event_count)}`` from the latest
-        #: completed epoch — the recovery ground truth.
+        #: ``{domain: (hexdigest, event_count)}`` from the latest epoch
+        #: this worker took part in — the recovery ground truth.
         self.last_digests: Optional[Dict[int, Tuple[str, int]]] = None
         self.next_times: Dict[int, float] = {}
 
@@ -170,7 +241,9 @@ class WorkerSupervisor:
     ``spawn(index)`` must start worker ``index`` and return
     ``(connection, process)``; the supervisor owns both afterwards.
     The connection needs ``fileno``, ``send_bytes``, ``recv_bytes``
-    and ``close`` (a :class:`multiprocessing.connection.Connection`).
+    and ``close`` (a :class:`FrameConnection`). ``heartbeat_interval_s
+    == 0`` means workers send no heartbeats: each reply is awaited up
+    to the epoch timeout and no heartbeat is counted missing.
     """
 
     def __init__(
@@ -181,17 +254,19 @@ class WorkerSupervisor:
         epoch_timeout_s: float = 30.0,
         heartbeat_interval_s: float = 0.5,
     ) -> None:
+        check_supervision_timing(epoch_timeout_s, heartbeat_interval_s)
         self._spawn = spawn
         self.policy = policy or RetryPolicy()
         self.epoch_timeout_s = float(epoch_timeout_s)
         self.heartbeat_interval_s = float(heartbeat_interval_s)
         self.workers = [WorkerHandle(i, group) for i, group in enumerate(owned)]
-        #: Per-epoch command history: ``(payload, frames)`` with one
-        #: mail frame per worker — the full replay input. The payload
-        #: (the per-domain window vector) is broadcast; frames are
-        #: per-worker opaque bytes the executor encoded (kept as-is so
-        #: replay resends byte-identical commands without re-pickling).
-        self._history: List[Tuple[Any, List[Any]]] = []
+        #: Per-epoch command history: ``(payload, mail)`` — the full
+        #: replay input. The payload (the per-domain window vector) is
+        #: shared; ``mail`` maps each worker that took part in the
+        #: epoch to its private, opaque mail (kept as-is so replay
+        #: resends byte-identical commands without re-encoding). Its
+        #: keys are the epoch's active set.
+        self._history: List[Tuple[Any, Dict[int, Any]]] = []
         # Counters surfaced as resilience.* metrics.
         self.heartbeats_missed = 0
         self.workers_restarted = 0
@@ -217,38 +292,44 @@ class WorkerSupervisor:
             next_times.update(handle.next_times)
         return next_times
 
-    def run_epoch(self, payload: Any, frames: List[Any]):
-        """Broadcast one epoch to every worker; recover any that fail.
+    def run_epoch(self, payload: Any, mail: Dict[int, Any]) -> Dict[int, Any]:
+        """Run one epoch on the workers named in ``mail``; recover any
+        that fail.
 
-        ``payload`` is shared by all workers (the per-domain window
-        vector); ``frames[i]`` is worker ``i``'s private mail frame.
-        Returns the list of ``("done", next_times, outbox_frame,
-        digests)`` replies, indexed by worker.
+        ``payload`` is shared by every participant (the per-domain
+        window vector); ``mail[i]`` is worker ``i``'s private mail.
+        Workers absent from ``mail`` sit the epoch out. Returns
+        ``{worker: ("done", next_times, outbox, digests)}`` for the
+        participants.
         """
-        self._history.append((payload, frames))
-        replies: List[Any] = [None] * len(self.workers)
-        for handle in self.workers:
-            command = ("epoch", payload, frames[handle.index])
+        self._history.append((payload, mail))
+        workers = self.workers
+        replies: Dict[int, Any] = {}
+        for index, private in mail.items():
+            handle = workers[index]
+            command = ("epoch", payload, private)
             try:
                 self._send(handle, command)
             except WorkerFailure as failure:
-                replies[handle.index] = self._handle_failure(
+                replies[index] = self._handle_failure(
                     handle, failure, resend=command
                 )
-        for handle in self.workers:
-            if replies[handle.index] is not None:
+        for index, private in mail.items():
+            if index in replies:
                 continue
-            command = ("epoch", payload, frames[handle.index])
+            handle = workers[index]
             try:
-                replies[handle.index] = self._recv(handle)
+                replies[index] = self._recv(handle)
             except WorkerFailure as failure:
-                replies[handle.index] = self._handle_failure(
-                    handle, failure, resend=command
+                replies[index] = self._handle_failure(
+                    handle, failure, resend=("epoch", payload, private)
                 )
-        for handle, reply in zip(self.workers, replies):
+        for handle in workers:
             handle.completed += 1
-            handle.next_times = dict(reply[1])
-            handle.last_digests = dict(reply[3])
+        for index, reply in replies.items():
+            handle = workers[index]
+            handle.next_times = reply[1]
+            handle.last_digests = reply[3]
         return replies
 
     def run_all(self, until, timeout_s: Optional[float] = None):
@@ -274,8 +355,8 @@ class WorkerSupervisor:
             reply = self._recv(handle, timeout_s=timeout_s)
         except WorkerFailure as failure:
             reply = self._handle_failure(handle, failure, resend=command)
-        handle.next_times = dict(reply[1])
-        handle.last_digests = dict(reply[3])
+        handle.next_times = reply[1]
+        handle.last_digests = reply[3]
         return reply
 
     def finish(self, until) -> List[dict]:
@@ -333,7 +414,7 @@ class WorkerSupervisor:
                 self.epoch_index,
                 detail=f"expected 'ready', got {reply[0]!r}",
             )
-        handle.next_times = dict(reply[1])
+        handle.next_times = reply[1]
 
     def _send(self, handle: WorkerHandle, command) -> None:
         try:
@@ -351,58 +432,31 @@ class WorkerSupervisor:
     def _recv(self, handle: WorkerHandle, timeout_s: Optional[float] = None):
         """Receive the next non-heartbeat reply, within the timeout.
 
-        Polls at the heartbeat cadence: every empty window counts a
-        missed heartbeat; EOF or a dead process is a crash; hitting the
-        deadline with the process still alive is a hang (the message
-        records whether heartbeats kept arriving — livelock — or the
-        process went completely silent — wedged/stopped).
+        With heartbeats on, polls at the heartbeat cadence: every empty
+        window counts a missed heartbeat. With heartbeats off
+        (interval 0), one poll waits out the whole timeout. EOF or a
+        dead process is a crash; hitting the deadline with the process
+        still alive is a hang (the message records whether heartbeats
+        kept arriving — livelock — or the process went completely
+        silent — wedged/stopped).
         """
         timeout_s = self.epoch_timeout_s if timeout_s is None else timeout_s
+        interval = self.heartbeat_interval_s
+        poll = handle.poller.poll
         deadline = time.monotonic() + timeout_s
+        remaining = timeout_s
         beats = 0
         while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                if handle.proc is not None and not handle.proc.is_alive():
-                    raise WorkerCrash(
-                        handle.index,
-                        handle.domains,
-                        self.epoch_index,
-                        detail=(
-                            "process died "
-                            f"(exitcode {handle.proc.exitcode})"
-                        ),
-                    )
-                liveness = (
-                    f"{beats} heartbeat(s) received while waiting "
-                    "(livelocked?)"
-                    if beats
-                    else "no heartbeats received (wedged or stopped)"
-                )
-                raise WorkerHang(
-                    handle.index,
-                    handle.domains,
-                    self.epoch_index,
-                    detail=(
-                        f"no reply within {timeout_s:g}s; {liveness}"
-                    ),
-                )
-            window_ms = math.ceil(
-                min(self.heartbeat_interval_s, remaining) * 1000.0
-            )
+            wait = interval if 0 < interval < remaining else remaining
             try:
-                if not handle.poller.poll(window_ms):
-                    self.heartbeats_missed += 1
+                if not poll(math.ceil(wait * 1000.0)):
+                    if interval > 0:
+                        self.heartbeats_missed += 1
                     if handle.proc is not None and not handle.proc.is_alive():
-                        raise WorkerCrash(
-                            handle.index,
-                            handle.domains,
-                            self.epoch_index,
-                            detail=(
-                                "process died "
-                                f"(exitcode {handle.proc.exitcode})"
-                            ),
-                        )
+                        raise self._died(handle)
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise self._timed_out(handle, timeout_s, beats)
                     continue
                 reply = pickle.loads(handle.conn.recv_bytes())
             except (EOFError, OSError) as exc:
@@ -415,6 +469,9 @@ class WorkerSupervisor:
             tag = reply[0]
             if tag == "hb":
                 beats += 1
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise self._timed_out(handle, timeout_s, beats)
                 continue
             if tag == "error":
                 info = reply[1] if isinstance(reply[1], dict) else {}
@@ -429,6 +486,33 @@ class WorkerSupervisor:
                     ),
                 )
             return reply
+
+    def _died(self, handle: WorkerHandle) -> WorkerCrash:
+        return WorkerCrash(
+            handle.index,
+            handle.domains,
+            self.epoch_index,
+            detail=f"process died (exitcode {handle.proc.exitcode})",
+        )
+
+    def _timed_out(
+        self, handle: WorkerHandle, timeout_s: float, beats: int
+    ) -> WorkerFailure:
+        """The failure for a reply that missed its deadline: a crash if
+        the process is gone, else a hang."""
+        if handle.proc is not None and not handle.proc.is_alive():
+            return self._died(handle)
+        liveness = (
+            f"{beats} heartbeat(s) received while waiting (livelocked?)"
+            if beats
+            else "no heartbeats received (wedged or stopped)"
+        )
+        return WorkerHang(
+            handle.index,
+            handle.domains,
+            self.epoch_index,
+            detail=f"no reply within {timeout_s:g}s; {liveness}",
+        )
 
     # -- recovery ------------------------------------------------------
 
@@ -474,19 +558,22 @@ class WorkerSupervisor:
         """Drive a freshly respawned worker back to the last completed
         epoch barrier, then digest-verify it against pre-crash state.
 
-        Replayed outboxes are discarded — the parent routed them the
-        first time around — and the digests of the final replayed epoch
-        must match ``handle.last_digests`` exactly, or recovery stops
-        with :class:`WorkerDesync`.
+        Only the epochs the worker took part in are resent; in the
+        others it dispatched nothing. Replayed outboxes are discarded
+        — the parent routed them the first time around — and the
+        digests of the final replayed epoch must match
+        ``handle.last_digests`` exactly, or recovery stops with
+        :class:`WorkerDesync`.
         """
+        index = handle.index
         digests: Optional[Dict[int, Tuple[str, int]]] = None
-        for payload, frames in self._history[: handle.completed]:
-            self._send(
-                handle, ("epoch", payload, frames[handle.index])
-            )
+        for payload, mail in self._history[: handle.completed]:
+            if index not in mail:
+                continue
+            self._send(handle, ("epoch", payload, mail[index]))
             reply = self._recv(handle)
-            handle.next_times = dict(reply[1])
-            digests = dict(reply[3])
+            handle.next_times = reply[1]
+            digests = reply[3]
         if handle.completed == 0 or handle.last_digests is None:
             return
         from repro.check.sanitize import diff_domain_digests

@@ -249,16 +249,20 @@ def _cmd_run(args) -> int:
         )
     ) or args.no_degrade
     if resilient:
-        scenario.resilience(
-            checkpoint_every=args.checkpoint_every,
-            checkpoint=args.checkpoint,
-            max_wall=args.max_wall,
-            max_rss_mb=args.max_rss,
-            max_events=args.max_events,
-            epoch_timeout=args.epoch_timeout,
-            retries=args.retries,
-            degrade=False if args.no_degrade else None,
-        )
+        try:
+            scenario.resilience(
+                checkpoint_every=args.checkpoint_every,
+                checkpoint=args.checkpoint,
+                max_wall=args.max_wall,
+                max_rss_mb=args.max_rss,
+                max_events=args.max_events,
+                epoch_timeout=args.epoch_timeout,
+                retries=args.retries,
+                degrade=False if args.no_degrade else None,
+            )
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     try:
         report = scenario.run(until=args.seconds)
     except FaultPlanError as error:

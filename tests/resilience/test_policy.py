@@ -170,3 +170,45 @@ def test_call_only_retries_listed_exception_types():
     with pytest.raises(KeyError):
         policy.call(raises_key_error, retryable=(ValueError,))
     assert calls["n"] == 1  # non-retryable exceptions propagate immediately
+
+
+# ----------------------------------------------------------------------
+# Supervision timings
+# ----------------------------------------------------------------------
+
+def test_config_accepts_zero_heartbeat_interval():
+    assert ResilienceConfig(heartbeat_interval_s=0).heartbeat_interval_s == 0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"heartbeat_interval_s": -0.5},
+        {"epoch_timeout_s": 0.0},
+        {"epoch_timeout_s": -3.0},
+    ],
+)
+def test_config_refuses_timings_that_disable_hang_detection(kwargs):
+    with pytest.raises(ValueError):
+        ResilienceConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"heartbeat_interval": -0.5},
+        {"epoch_timeout": 0},
+        {"epoch_timeout": -1.0},
+    ],
+)
+def test_scenario_resilience_refuses_bad_timings_and_keeps_its_config(kwargs):
+    from repro.api import Scenario
+    from repro.topology import dumbbell_topology
+
+    scenario = Scenario.from_topology(dumbbell_topology(2)).resilience(
+        epoch_timeout=5.0, heartbeat_interval=0.25
+    )
+    with pytest.raises(ValueError):
+        scenario.resilience(**kwargs)
+    assert scenario._resilience.epoch_timeout_s == 5.0
+    assert scenario._resilience.heartbeat_interval_s == 0.25

@@ -95,6 +95,21 @@ def test_sigkill_recovery_reproduces_the_clean_digest(workers):
     assert chaos.outcome == "completed"
 
 
+def test_zero_heartbeat_interval_runs_without_counting_misses():
+    """``heartbeat_interval=0`` switches heartbeats off: the parent
+    waits for each reply instead of spinning on an empty poll and
+    counting a miss per spin."""
+    default = _ring_scenario("multiprocess", workers=2).resilience()
+    silent = _ring_scenario("multiprocess", workers=2).resilience(
+        heartbeat_interval=0
+    )
+    expected = default.run(until=RING_UNTIL).metrics
+    metrics = silent.run(until=RING_UNTIL).metrics
+    assert metrics["resilience.heartbeats_missed"] == 0
+    assert metrics["run.outcome"] == "completed"
+    assert metrics["run.digest"] == expected["run.digest"]
+
+
 # ----------------------------------------------------------------------
 # Checkpoint / resume
 # ----------------------------------------------------------------------

@@ -240,3 +240,13 @@ def test_run_out_dir_defaults_report_paths(tmp_path, capsys):
     ]) == 0
     assert (out_dir / "report.json").exists()
     assert (out_dir / "report.csv").exists()
+
+
+def test_run_rejects_a_non_positive_epoch_timeout(tmp_path, capsys):
+    source = tmp_path / "ring.gml"
+    main(["generate", "ring", "--routers", "4", "--vns", "2", "-o", str(source)])
+    code = main([
+        "run", str(source), "--seconds", "0.1", "--epoch-timeout", "0",
+    ])
+    assert code == 2
+    assert "epoch timeout must be positive" in capsys.readouterr().err
